@@ -5,16 +5,19 @@
 
 Set-up (importing `localh` and writing the seeded input files, see
 inputs.py) runs SETUP_REPEATS times in fresh processes; `setup_s` is the
-median.  Then this process calls `localh.cli.main(argv)` in a closed loop
-with one caller: the seed-independent head block once, then the seeded
-blocks in turn, cycling, until the items have taken S seconds.  It checks
-every output (checks.py).  An item fails on a non-zero exit
-code, an exception or a failed check; the run goes on.
+median of their CPU times.  Then this process calls `localh.cli.main(argv)`
+in a closed loop with one caller: the seed-independent head block once,
+then the seeded blocks in turn, cycling, until S seconds of wall time have
+passed.  Items are timed in CPU time of this process (all its threads),
+which leaves out the time the host gives the CPU to other guests.  It
+checks every output (checks.py).  An item fails on a non-zero exit code,
+an exception or a failed check; the run goes on.
 
 The last line of standard output is the result: end-to-end metrics with
 --trace 0, per-layer metrics from tracing.py with --trace 1.  The line
 before it records the machine, the seed, the item counts and the time of a
-fixed loop before and after the items, which shows host drift.
+fixed loop before and after the items and the host's steal share during
+them, which show host drift.
 `--workload all` runs every workload in its own process, one after another.
 """
 
@@ -54,27 +57,43 @@ def host_loop_ms() -> float:
     return statistics.median(times) * 1e3
 
 
+def cpu_jiffies() -> tuple[int, int] | None:
+    """(steal, total) jiffies of the host's CPUs so far, where /proc/stat exists."""
+    try:
+        with open("/proc/stat", encoding="ascii") as fh:
+            fields = [int(x) for x in fh.readline().split()[1:]]
+    except (OSError, ValueError):
+        return None
+    return (fields[7] if len(fields) > 7 else 0), sum(fields)
+
+
+def children_cpu_s() -> float:
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def run_setup(workload: str, seed: int, out: str) -> float:
+    """One set-up in a fresh process; its CPU time, user and system."""
     shutil.rmtree(out, ignore_errors=True)
-    start = time.perf_counter()
+    before = children_cpu_s()
     subprocess.run(
         [sys.executable, os.path.join(HERE, "inputs.py"),
          "--workload", workload, "--seed", str(seed), "--out", out],
         check=True,
     )
-    return time.perf_counter() - start
+    return children_cpu_s() - before
 
 
 def run_item(cli, item: dict, checks) -> tuple[float, list[str]]:
-    """One CLI call, timed; the output check runs after the clock stops."""
+    """One CLI call, timed in CPU time; the output check runs after the clock stops."""
     stdout, stderr = io.StringIO(), io.StringIO()
-    start = time.perf_counter()
+    start = time.process_time()
     try:
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = cli.main(item["argv"])
     except (Exception, SystemExit) as exc:
-        return time.perf_counter() - start, [f"raised {type(exc).__name__}: {exc}"]
-    elapsed = time.perf_counter() - start
+        return time.process_time() - start, [f"raised {type(exc).__name__}: {exc}"]
+    elapsed = time.process_time() - start
     if code != 0:
         return elapsed, [f"exit code {code}: {stderr.getvalue().strip()[:200]}"]
     try:
@@ -104,10 +123,12 @@ def run_workload(args) -> int:
             tracer.install()
 
         host_before = host_loop_ms()
+        jiffies_before = cpu_jiffies()
         times: list[float] = []
         failed = 0
         busy = 0.0
         block_s: list[float] = []
+        loop_start = time.perf_counter()
         for block in itertools.chain([manifest["head"]], itertools.cycle(manifest["blocks"])):
             block_start = busy
             for item in block:
@@ -121,8 +142,10 @@ def run_workload(args) -> int:
                     if failed <= 5:
                         print(f"item {item['argv']} failed: {problems[:3]}", file=sys.stderr)
             block_s.append(busy - block_start)
-            if busy >= args.seconds:
+            if time.perf_counter() - loop_start >= args.seconds:
                 break
+        loop_wall = time.perf_counter() - loop_start
+        jiffies_after = cpu_jiffies()
         host_after = host_loop_ms()
     finally:
         shutil.rmtree(inputs, ignore_errors=True)
@@ -140,9 +163,14 @@ def run_workload(args) -> int:
         "blocks": len(block_s) - 1,
         "head_s": block_s[0],
         "block_s": block_s[1:],
+        "loop_wall_s": loop_wall,
+        "item_cpu_s": busy,
         "setup_runs_s": setup,
         "host_loop_ms": [host_before, host_after],
     }
+    if jiffies_before and jiffies_after and jiffies_after[1] > jiffies_before[1]:
+        info["host_steal_share"] = (
+            (jiffies_after[0] - jiffies_before[0]) / (jiffies_after[1] - jiffies_before[1]))
     if tracer is None:
         q = statistics.quantiles(times, n=10)
         metrics = {
