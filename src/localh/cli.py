@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 
 from . import constructions, identities, posets, serialize
 from .complexes import NotPureError, RidgeInThreeFacetsError
@@ -149,7 +149,7 @@ def cmd_cdindex(args) -> int:
     d = result.degree
     out: dict = {
         "rank": d,
-        "ab_index": dict(posets.ab_index(p).coeffs),
+        "ab_index": dict(result.ab_index.coeffs),
         "ab_difference": dict(result.ab.coeffs),
         "closed": result.closed,
         "difference": list(result.difference.coeffs),
@@ -205,21 +205,24 @@ def _search_record(seed: int, args) -> dict:
 
 
 def cmd_search(args) -> int:
-    seeds = range(args.seed, args.seed + args.count)
-    found = 0
-    with ThreadPoolExecutor(max_workers=max(1, args.workers)) as pool:
-        for recs in pool.map(lambda s: _search_record(s, args), seeds):
-            for rec in recs:
-                if args.require == "vertex-induced" and not rec["vertex_induced"]:
-                    continue
-                if rec["conjecture_relevant"]:
-                    found += 1
-                    print(
-                        f"CONJECTURE-RELEVANT: seed {rec['seed']} is vertex-induced "
-                        f"with non-unimodal local h {rec['local_h']}",
-                        file=sys.stderr,
-                    )
-                print(json.dumps(rec, sort_keys=False))
+    tally: Counter = Counter()
+    for seed in range(args.seed, args.seed + args.count):
+        for rec in _search_record(seed, args):
+            tally[(rec["vertex_induced"], rec["unimodal"])] += 1
+            if args.require == "vertex-induced" and not rec["vertex_induced"]:
+                continue
+            if rec["conjecture_relevant"]:
+                print(
+                    f"CONJECTURE-RELEVANT: seed {rec['seed']} is vertex-induced "
+                    f"with non-unimodal local h {rec['local_h']}",
+                    file=sys.stderr,
+                )
+            print(json.dumps(rec, sort_keys=False))
+    rows = [
+        {"vertex_induced": vi, "unimodal": uni, "count": n}
+        for (vi, uni), n in sorted(tally.items())
+    ]
+    print(json.dumps({"tally": rows}), file=sys.stderr)
     return OK
 
 
@@ -288,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=5)
     p.add_argument("--require", choices=["vertex-induced"])
     p.add_argument("--include-sd", action="store_true")
-    p.add_argument("--workers", type=int, default=4)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("replay", help="rebuild an op word and re-verify it")

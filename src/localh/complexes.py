@@ -9,11 +9,10 @@ all, while the empty complex consists of the single face ().
 
 from __future__ import annotations
 
-import math
 from itertools import combinations
 from typing import Iterable
 
-from .polynomials import Polynomial
+from .polynomials import Polynomial, h_from_f
 
 Face = tuple[str, ...]
 
@@ -36,6 +35,12 @@ def canonical_face(vertices: Iterable[str]) -> Face:
         if not isinstance(v, str):
             raise TypeError(f"vertex labels must be strings, got {type(v).__name__}")
     return face
+
+
+def subsets(face: Face):
+    """Every subset of a face, by size ascending and in combinations order."""
+    for k in range(len(face) + 1):
+        yield from combinations(face, k)
 
 
 def gf2_rank(rows: list[int]) -> int:
@@ -168,17 +173,7 @@ class SimplicialComplex:
 
     def h_polynomial(self) -> Polynomial:
         """h-vector from the alternating binomial transform of the f-vector."""
-        f = self.f_vector()
-        d = self.dim + 1
-        coeffs = []
-        for i in range(d + 1):
-            coeffs.append(
-                sum(
-                    (-1) ** (i - j) * math.comb(d - j, i - j) * f[j]
-                    for j in range(i + 1)
-                )
-            )
-        return Polynomial(coeffs)
+        return h_from_f(self.f_vector())
 
     # -- constructions ----------------------------------------------------
 

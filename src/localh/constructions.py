@@ -29,9 +29,8 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from itertools import combinations
 
-from .complexes import Face, SimplicialComplex, canonical_face, simplex
+from .complexes import Face, SimplicialComplex, canonical_face, simplex, subsets
 from .subdivisions import Subdivision
 
 _FRESH_RE = re.compile(r"^[wzmpq](\d+)$")
@@ -99,8 +98,9 @@ def stellar_facet(s: Subdivision, facet=None) -> Subdivision:
     ]
     carrier = dict(s.carrier)
     top_carrier = carrier.pop(target)
-    for sub in _proper_subsets(target):
-        carrier[tuple(sorted(sub + (z,)))] = top_carrier
+    for sub in subsets(target):
+        if len(sub) < len(target):
+            carrier[tuple(sorted(sub + (z,)))] = top_carrier
     return Subdivision(s.base, SimplicialComplex(new_facets), carrier)
 
 
@@ -136,8 +136,8 @@ def push_ridge(s: Subdivision, ridge) -> Subdivision:
     carrier[g] = v_all
     carrier[new_facet] = v_all
     carrier[(w,)] = old_carrier
-    for sub in _proper_subsets(g):
-        if sub:
+    for sub in subsets(g):
+        if 0 < len(sub) < len(g):
             carrier[tuple(sorted(sub + (w,)))] = old_carrier
     total = SimplicialComplex(list(s.total.facets) + [new_facet])
     return Subdivision(s.base, total, carrier)
@@ -290,8 +290,3 @@ def random_subdivision(seed: int, d_max: int, steps: int) -> tuple[Subdivision, 
             s = push_then_stellar(s, g)
             word.append(OpStep("l32", ",".join(g)))
     return s, OpWord(n0, tuple(word))
-
-
-def _proper_subsets(face: Face):
-    for k in range(len(face)):
-        yield from combinations(face, k)

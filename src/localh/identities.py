@@ -17,9 +17,9 @@ in one shared helper so all routes agree by construction of conventions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
 
-from .complexes import Face, canonical_face
+from .complexes import Face, subsets
 from .permstats import EnumerationBoundError, derangement_enum, derangement_recurrence
 from .polynomials import ONE, ZERO, Polynomial, gamma_extract, geometric_block, is_unimodal
 from .subdivisions import BaseNotSimplexError, Subdivision
@@ -78,7 +78,8 @@ def local_h_via_boundary_recursion(s: Subdivision) -> Polynomial:
         if face in memo:
             return memo[face]
         total = _restriction_h_difference(s, face)
-        for sub in _proper_subsets(face):
+        for sub in subsets(face):
+            # the block is zero for the face itself and its facets
             block = geometric_block(1, len(face) - len(sub) - 1)
             if block:
                 total = total + ell(sub) * block
@@ -95,7 +96,7 @@ def local_h_via_derangements(s: Subdivision) -> Polynomial:
     verts = s.base.vertices
     d = len(verts)
     total = ZERO
-    for face in _all_subsets(verts):
+    for face in subsets(verts):
         diff = _restriction_h_difference(s, face)
         if diff:
             total = total + diff * derangement_recurrence(d - len(face))
@@ -155,6 +156,15 @@ class IdentityReport:
         return "\n".join(rows + [verdict])
 
 
+@lru_cache(maxsize=None)
+def _bary_local_h(d: int) -> Polynomial:
+    """Local h of the barycentric subdivision of the simplex on d vertices."""
+    from .constructions import trivial_on
+    from .posets import sd_subdivision
+
+    return sd_subdivision(trivial_on(d)).local_h()
+
+
 def verify_all(s: Subdivision) -> IdentityReport:
     """Run every identity check that applies to the given subdivision."""
     records: list[IdentityRecord] = []
@@ -191,7 +201,7 @@ def verify_all(s: Subdivision) -> IdentityReport:
             )
 
         bad = []
-        for face in _all_subsets(s.base.vertices):
+        for face in subsets(s.base.vertices):
             if not face:
                 continue
             h_f = s.subset_h(face)
@@ -269,11 +279,7 @@ def verify_all(s: Subdivision) -> IdentityReport:
             )
 
         if d <= 7:
-            from .constructions import trivial_on
-            from .posets import sd_subdivision
-
-            bary = sd_subdivision(trivial_on(d))
-            lhs_b = bary.local_h()
+            lhs_b = _bary_local_h(d)
             try:
                 rhs_b = derangement_enum(d)
                 records.append(
@@ -310,14 +316,3 @@ def verify_all(s: Subdivision) -> IdentityReport:
             )
 
     return IdentityReport(tuple(records))
-
-
-def _proper_subsets(face: Face):
-    for k in range(len(face)):
-        yield from combinations(face, k)
-
-
-def _all_subsets(face):
-    face = canonical_face(face)
-    for k in range(len(face) + 1):
-        yield from combinations(face, k)

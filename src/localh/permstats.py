@@ -28,7 +28,12 @@ def enumeration_bound() -> int:
     raw = os.environ.get(ENUM_BOUND_ENV)
     if raw is None:
         return DEFAULT_ENUM_BOUND
-    bound = int(raw)
+    try:
+        bound = int(raw)
+    except ValueError:
+        raise EnumerationBoundError(
+            f"{ENUM_BOUND_ENV}={raw!r} is not an integer"
+        ) from None
     if bound > HARD_ENUM_CEILING:
         raise EnumerationBoundError(
             f"{ENUM_BOUND_ENV}={bound} exceeds the hard ceiling {HARD_ENUM_CEILING}"

@@ -8,6 +8,7 @@ floating point appears anywhere in this package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -151,18 +152,28 @@ class GammaVector:
         return all(g >= 0 for g in self.gammas)
 
 
+def h_from_f(f: Sequence[int]) -> Polynomial:
+    """h-polynomial of an f-vector (f_-1, f_0, ..., f_(d-1)) by the
+    alternating binomial transform."""
+    d = len(f) - 1
+    return Polynomial(
+        sum((-1) ** (i - j) * math.comb(d - j, i - j) * f[j] for j in range(i + 1))
+        for i in range(d + 1)
+    )
+
+
+def _gamma_basis(k: int, d: int) -> Polynomial:
+    """The basis element x^k (1+x)^(d-2k)."""
+    n = max(d - 2 * k, 0)
+    return Polynomial((0,) * k + tuple(math.comb(n, i) for i in range(n + 1)))
+
+
 def gamma_compose(g: GammaVector) -> Polynomial:
     """Expand gamma coordinates back into a polynomial; inverse of gamma_extract."""
-    d = g.degree_bound
-    one_plus_x = Polynomial((1, 1))
     total = ZERO
     for k, gk in enumerate(g.gammas):
-        if gk == 0:
-            continue
-        basis = ONE
-        for _ in range(d - 2 * k):
-            basis = basis * one_plus_x
-        total = total + (gk * basis).shifted(k)
+        if gk:
+            total = total + gk * _gamma_basis(k, g.degree_bound)
     return total
 
 
@@ -176,15 +187,11 @@ def gamma_extract(p: Polynomial, d: int) -> GammaVector:
         raise NotSymmetricError(f"{p} is not symmetric with center {d}/2")
     gammas = []
     rem = p
-    one_plus_x = Polynomial((1, 1))
     for k in range(d // 2 + 1):
         gk = rem.coefficient(k)
         gammas.append(gk)
         if gk:
-            basis = ONE
-            for _ in range(d - 2 * k):
-                basis = basis * one_plus_x
-            rem = rem - (gk * basis).shifted(k)
+            rem = rem - gk * _gamma_basis(k, d)
     if rem:
         raise NotSymmetricError(f"gamma elimination left a nonzero remainder {rem}")
     return GammaVector(tuple(gammas), d)

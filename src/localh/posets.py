@@ -498,12 +498,14 @@ def boundary_poset(p: FacePoset) -> FacePoset | None:
 @dataclass(frozen=True)
 class BallDifference:
     """ab-difference of a ball poset against its boundary, with cd-form and
-    the independently computed h-polynomial difference of the order complexes."""
+    the independently computed h-polynomial difference of the order complexes;
+    ab_index is the ball's own ab-index."""
 
     ab: AbPolynomial
     cd: CdPolynomial | NotExpressible
     difference: Polynomial
     closed: bool
+    ab_index: AbPolynomial
 
     @property
     def degree(self) -> int:
@@ -535,4 +537,4 @@ def ek_difference(source: FacePoset | SimplicialComplex) -> BallDifference:
     h_top = order.h_polynomial()
     rim = order.boundary()
     h_rim = ZERO if rim.is_void else rim.h_polynomial()
-    return BallDifference(diff_ab, cd, h_top - h_rim, closed)
+    return BallDifference(diff_ab, cd, h_top - h_rim, closed, psi)

@@ -166,17 +166,20 @@ def poset_from_obj(obj: Any) -> FacePoset:
     for i, c in enumerate(obj["covers"]):
         if not isinstance(c, list) or len(c) != 2:
             raise SchemaError(f"poset.covers[{i}]: expected a pair")
+        if not all(isinstance(x, str) for x in c):
+            raise SchemaError(f"poset.covers[{i}]: element ids must be strings")
         covers.append((c[0], c[1]))
     carrier = None
     if "carrier" in obj:
         if not isinstance(obj["carrier"], dict):
             raise SchemaError("poset.carrier: expected an object")
-        carrier = {
-            e: canonical_face(
+        carrier = {}
+        for e, f in obj["carrier"].items():
+            if not isinstance(f, list):
+                raise SchemaError(f"poset.carrier[{e}]: expected an array")
+            carrier[e] = canonical_face(
                 _check_label(v, f"poset.carrier[{e}]") for v in f
             )
-            for e, f in obj["carrier"].items()
-        }
     base = complex_from_obj(obj["base"], "poset.base") if "base" in obj else None
     try:
         return FacePoset(tuple(elements), tuple(covers), carrier, base)

@@ -16,9 +16,7 @@ malformed carrier map this package can produce.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import combinations
 
 from .complexes import (
     Face,
@@ -27,8 +25,9 @@ from .complexes import (
     SimplicialComplex,
     canonical_face,
     simplex,
+    subsets,
 )
-from .polynomials import ZERO, GammaVector, Polynomial, gamma_extract
+from .polynomials import ZERO, GammaVector, Polynomial, gamma_extract, h_from_f
 
 
 class BaseNotSimplexError(ValueError):
@@ -311,30 +310,16 @@ class Subdivision:
                 sub = (sub - 1) & free
         table: dict[int, Polynomial] = {}
         for mask, bucket in counts.items():
-            dim_k = max(bucket) - 1 if bucket else -1
-            dk = dim_k + 1
-            f = [1] + [bucket.get(s, 0) for s in range(1, dk + 1)]
-            coeffs = [
-                sum(
-                    (-1) ** (i - j) * math.comb(dk - j, i - j) * f[j]
-                    for j in range(i + 1)
-                )
-                for i in range(dk + 1)
-            ]
-            table[mask] = Polynomial(coeffs)
+            top = max(bucket, default=0)
+            table[mask] = h_from_f([1] + [bucket.get(n, 0) for n in range(1, top + 1)])
         self._cache["ht"] = table
         return table
 
     def local_h(self) -> Polynomial:
         """Alternating sum of restriction h-polynomials over all vertex subsets."""
         self._require_simplex_base()
-        d = len(self.base.vertices)
-        table = self._subset_h_table()
-        total = ZERO
-        for mask, h in table.items():
-            sign = (-1) ** (d - mask.bit_count())
-            total = total + h if sign > 0 else total - h
-        return total
+        full = (1 << len(self.base.vertices)) - 1
+        return _alternating_subset_sum(self._subset_h_table(), full)
 
     def local_gamma(self) -> GammaVector:
         return gamma_extract(self.local_h(), len(self.base.vertices))
@@ -361,7 +346,7 @@ class Subdivision:
         total = ZERO
         for f in sorted(self.base.all_faces()):
             ell = ZERO
-            for sub in _subsets(f):
+            for sub in subsets(f):
                 term = h_cache[sub]
                 if (len(f) - len(sub)) % 2:
                     ell = ell - term
@@ -404,16 +389,11 @@ def _complex_from_members(members: list[Face], expected_card: int) -> Simplicial
     if top:
         seen: set[Face] = set()
         for f in top:
-            for k in range(1, len(f) + 1):
-                seen.update(combinations(f, k))
+            seen.update(subsets(f))
+        seen.discard(())
         if seen == set(members):
             return SimplicialComplex(top)
     return SimplicialComplex.from_faces(members)
-
-
-def _subsets(face: Face):
-    for k in range(len(face) + 1):
-        yield from combinations(face, k)
 
 
 def _alternating_subset_sum(table: dict[int, Polynomial], mask: int) -> Polynomial:

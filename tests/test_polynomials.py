@@ -12,6 +12,7 @@ from localh.polynomials import (
     gamma_compose,
     gamma_extract,
     geometric_block,
+    h_from_f,
     is_unimodal,
 )
 
@@ -101,6 +102,14 @@ def test_gamma_round_trip(gammas, extra):
     g = GammaVector(tuple(gammas) + (0,) * ((d // 2 + 1) - len(gammas)), d)
     p = gamma_compose(g)
     assert gamma_extract(p, d) == g
+
+
+def test_h_from_f_examples():
+    assert h_from_f((1,)) == ONE
+    # the solid triangle, the boundary of a triangle, the octahedron
+    assert h_from_f((1, 3, 3, 1)) == ONE
+    assert h_from_f((1, 3, 3)) == Polynomial([1, 1, 1])
+    assert h_from_f((1, 6, 12, 8)) == Polynomial([1, 3, 3, 1])
 
 
 def test_unimodal_examples():

@@ -213,6 +213,12 @@ def test_ek_difference_square_cell():
     assert result.difference == ZERO
 
 
+def test_ek_difference_carries_the_ab_index():
+    for source in [PATH2, SQUARE_CELL, face_poset(HEXAGON)]:
+        p = source if isinstance(source, FacePoset) else face_poset(source)
+        assert ek_difference(source).ab_index == ab_index(p)
+
+
 def test_ek_difference_ab_substitution_consistency():
     for source in [PATH2, simplex("ab"), SQUARE_CELL]:
         result = ek_difference(source)
