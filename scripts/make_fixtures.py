@@ -12,8 +12,15 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from localh import serialize  # noqa: E402
-from localh.constructions import push_then_stellar, stellar_facet, trivial_on  # noqa: E402
+from localh.complexes import SimplicialComplex  # noqa: E402
+from localh.constructions import (  # noqa: E402
+    push_ridge,
+    push_then_stellar,
+    stellar_facet,
+    trivial_on,
+)
 from localh.posets import FacePoset, face_poset, sd_subdivision  # noqa: E402
+from localh.subdivisions import Subdivision  # noqa: E402
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -42,6 +49,42 @@ def main() -> None:
     serialize.dump_json(
         serialize.subdivision_to_obj(push_then_stellar(trivial_on(4))),
         str(FIXTURES / "nonunimodal_quasigeometric.json"),
+    )
+
+    # two pushes in a row: the second pushed facet has all its vertex
+    # carriers inside the ridge v1v2v3, so quasi-geometricity fails
+    pushed = push_ridge(trivial_on(4), ("v1", "v2", "v3"))
+    w = next(v for v in pushed.total.vertices if v.startswith("w"))
+    serialize.dump_json(
+        serialize.subdivision_to_obj(push_ridge(pushed, ("v1", "v2", w))),
+        str(FIXTURES / "double_push.json"),
+    )
+
+    # a non-simplex base: two triangles glued along the edge v2v3, with the
+    # first one stellarly subdivided
+    two_triangles = SimplicialComplex([("v1", "v2", "v3"), ("v2", "v3", "v4")])
+    glued = stellar_facet(Subdivision.trivial(two_triangles))
+    serialize.dump_json(
+        serialize.subdivision_to_obj(glued),
+        str(FIXTURES / "stellar_two_triangles.json"),
+    )
+
+    # the same with the glued edge carried onto the second triangle: the
+    # restriction to v2v3 loses its edge and vertex-inducedness fails there
+    carrier = dict(glued.carrier)
+    carrier[("v2", "v3")] = ("v2", "v3", "v4")
+    serialize.dump_json(
+        serialize.subdivision_to_obj(Subdivision(glued.base, glued.total, carrier)),
+        str(FIXTURES / "broken_two_triangles.json"),
+    )
+
+    # an invalid carrier map: one interior edge of the stellar triangle is
+    # sent onto a base vertex, which breaks monotonicity and the interiors
+    carrier = dict(stellar.carrier)
+    carrier[("v1", "z1")] = ("v1",)
+    serialize.dump_json(
+        serialize.subdivision_to_obj(Subdivision(stellar.base, stellar.total, carrier)),
+        str(FIXTURES / "broken_stellar_triangle.json"),
     )
 
     hexagon = FacePoset(

@@ -68,7 +68,12 @@ def cmd_compute(args) -> int:
 
 
 def cmd_realize(args) -> int:
-    target = [int(t) for t in args.target.split(",")]
+    target = []
+    for entry in args.target.split(","):
+        try:
+            target.append(int(entry))
+        except ValueError:
+            raise ValueError(f"realize --target: {entry!r} is not an integer") from None
     try:
         s = constructions.realize_local_h(target)
     except constructions.InvalidTargetError as exc:
@@ -93,8 +98,10 @@ def cmd_bary(args) -> int:
     elif kind == "poset":
         source = serialize.poset_from_obj(obj)
         print(
-            "note: poset input is trusted to be a regular cell complex; "
-            "its boundary follows the covered-once convention",
+            "note: poset input is checked to be thin (two vertices per edge, "
+            "two middle elements per length-2 interval) but otherwise trusted "
+            "to be a regular cell complex; its boundary follows the "
+            "covered-once convention",
             file=sys.stderr,
         )
     else:

@@ -6,7 +6,8 @@ relation is the transitive closure of the covers.  Gradedness is enforced:
 covers must increase dimension and every maximal chain must run through
 consecutive dimensions starting at 0.
 
-A raw poset is taken on faith as the face poset of a regular cell complex;
+A raw poset is taken on faith as the face poset of a regular cell complex
+(poset files must also pass the thinness checks in ``serialize``);
 regularity of attachments cannot be checked combinatorially, and for
 nonregular input the order complex need not be homeomorphic to the intended
 space.  Boundaries of raw posets follow the documented convention: the order
@@ -468,23 +469,12 @@ def boundary_poset(p: FacePoset) -> FacePoset | None:
     for lo, up in p.covers:
         if dims[lo] == d - 2 and dims[up] == d - 1:
             cover_count[lo] += 1
-    rim = sorted(
-        e for e, dim in p.elements if dim == d - 2 and cover_count[e] == 1
-    )
+    rim = {e for e, dim in p.elements if dim == d - 2 and cover_count[e] == 1}
     if not rim:
         return None
-    below: dict[str, set[str]] = {e: set() for e, _ in p.elements}
-    order = sorted((e for e, _ in p.elements), key=lambda e: dims[e])
-    for lo, up in p.covers:
-        below[up].add(lo)
-    for e in order:
-        extra = set()
-        for b in below[e]:
-            extra |= below[b]
-        below[e] |= extra
-    keep = set(rim)
-    for e in rim:
-        keep |= below[e]
+    order, _, above = p._above_masks()
+    rim_mask = sum(1 << i for i, e in enumerate(order) if e in rim)
+    keep = {e for i, e in enumerate(order) if ((1 << i) | above[i]) & rim_mask}
     elements = tuple((e, dim) for e, dim in p.elements if e in keep)
     covers = tuple((lo, up) for lo, up in p.covers if lo in keep and up in keep)
     carrier = (

@@ -9,6 +9,7 @@ not contain commas.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from typing import Any
 
 from .complexes import Face, SimplicialComplex, canonical_face
@@ -182,9 +183,38 @@ def poset_from_obj(obj: Any) -> FacePoset:
             )
     base = complex_from_obj(obj["base"], "poset.base") if "base" in obj else None
     try:
-        return FacePoset(tuple(elements), tuple(covers), carrier, base)
+        p = FacePoset(tuple(elements), tuple(covers), carrier, base)
     except ValueError as exc:
         raise SchemaError(f"poset: {exc}") from exc
+    _check_thin(p)
+    return p
+
+
+def _check_thin(p: FacePoset) -> None:
+    """Refuse a poset that cannot be the face poset of a regular CW complex.
+
+    Two necessary conditions: every length-2 interval [x, y] has exactly two
+    middle elements (thinness), and every edge covers exactly two vertices
+    (the same rule for the interval from the empty cell to the edge).
+    """
+    up: dict[str, set[str]] = {e: set() for e, _ in p.elements}
+    for lo, hi in p.covers:
+        up[lo].add(hi)
+    for x, _ in p.elements:
+        middles = Counter(y for z in up[x] for y in up[z])
+        for y, n in sorted(middles.items()):
+            if n != 2:
+                raise SchemaError(
+                    f"poset: interval [{x}, {y}] has {n} middle "
+                    f"element{'' if n == 1 else 's'}, expected 2"
+                )
+    ends = Counter(e for v, d in p.elements if d == 0 for e in up[v])
+    for e, d in p.elements:
+        if d == 1 and ends[e] != 2:
+            n = ends[e]
+            raise SchemaError(
+                f"poset: edge {e} covers {n} vert{'ex' if n == 1 else 'ices'}, expected 2"
+            )
 
 
 # -- op words ----------------------------------------------------------------------

@@ -6,6 +6,12 @@ face whose restriction contains G in its interior; restrictions, the local
 h-polynomial, the quasi-geometric and vertex-induced predicates, and the
 weak-ball validity check all derive from it.
 
+Internally every carrier query reads one encoding: a base face is a bitmask
+over the sorted base vertices (bit i for the i-th vertex), and each total
+face's carrier mask is built once.  "The carrier of G lies in F" is then
+``not carrier_mask & ~mask(F)``.  The public ``carrier`` attribute stays the
+label map; no mask leaves this module.
+
 Ball recognition is undecidable in general, so validity here means the
 documented *weak ball check*: every restriction must be pure of the right
 dimension, a pseudomanifold with boundary, have trivial reduced GF(2)
@@ -84,7 +90,7 @@ class PredicateResult:
 class Subdivision:
     """A pair (total complex, carrier map) over a base complex."""
 
-    __slots__ = ("base", "total", "carrier", "_cache")
+    __slots__ = ("base", "total", "carrier", "_bits", "_cache")
 
     def __init__(
         self,
@@ -113,6 +119,8 @@ class Subdivision:
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "total", total)
         object.__setattr__(self, "carrier", carrier_canon)
+        bits = {v: 1 << i for i, v in enumerate(base.vertices)}
+        object.__setattr__(self, "_bits", bits)
         object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, name, value):
@@ -122,12 +130,6 @@ class Subdivision:
     def trivial(cls, base: SimplicialComplex) -> "Subdivision":
         """The identity subdivision of a complex."""
         return cls(base, base, {f: f for f in base.nonempty_faces()})
-
-    def carrier_of(self, face) -> Face:
-        face = canonical_face(face)
-        if not face:
-            return ()
-        return self.carrier[face]
 
     @property
     def base_is_simplex(self) -> bool:
@@ -147,12 +149,48 @@ class Subdivision:
             f"{len(self.total.facets)} total facets)"
         )
 
+    # -- the carrier encoding ------------------------------------------------
+
+    def _mask(self, face) -> int:
+        """Bitmask of a face; a label outside the base adds no bit."""
+        mask = 0
+        for v in face:
+            mask |= self._bits.get(v, 0)
+        return mask
+
+    def _face(self, mask: int) -> Face:
+        """The base face with the given bitmask."""
+        return tuple(v for v, bit in self._bits.items() if mask & bit)
+
+    def _carrier_masks(self) -> dict[Face, int]:
+        """Carrier bitmask of every nonempty total face, in carrier order."""
+        if "cm" not in self._cache:
+            self._cache["cm"] = {g: self._mask(c) for g, c in self.carrier.items()}
+        return self._cache["cm"]
+
+    def _carrier_unions(self) -> list[tuple[Face, int, int]]:
+        """(face, carrier mask, OR of its vertex-carrier masks) in (size, label) order."""
+        if "cu" not in self._cache:
+            cm = self._carrier_masks()
+            union: dict[Face, int] = {}
+            rows = []
+            for e in sorted(cm, key=_by_size):
+                u = cm[e] if len(e) == 1 else union[e[:-1]] | union[e[-1:]]
+                union[e] = u
+                rows.append((e, cm[e], u))
+            self._cache["cu"] = rows
+        return self._cache["cu"]
+
+    def _base_masks(self) -> list[tuple[Face, int]]:
+        """Nonempty base faces with their masks, in (size, label) order."""
+        return [(f, self._mask(f)) for f in sorted(self.base.nonempty_faces(), key=_by_size)]
+
     # -- restrictions ------------------------------------------------------
 
     def restriction_members(self, face) -> list[Face]:
         """Nonempty faces of the total complex carried into the given base face."""
-        fs = set(canonical_face(face))
-        return [g for g, c in self.carrier.items() if set(c) <= fs]
+        outside = ~self._mask(face)
+        return [g for g, c in self._carrier_masks().items() if not c & outside]
 
     def restriction_complex(self, face) -> SimplicialComplex:
         """The subcomplex lying over a base face."""
@@ -178,30 +216,21 @@ class Subdivision:
 
     def validate(self) -> ValidityReport:
         """Run the weak ball check on every restriction; failures land in the report."""
-        monotone = True
-        for g in self.carrier:
-            if len(g) < 2:
-                continue
-            cg = set(self.carrier[g])
-            for i in range(len(g)):
-                sub = g[:i] + g[i + 1 :]
-                if not set(self.carrier[sub]) <= cg:
-                    monotone = False
-                    break
-            if not monotone:
-                break
-
-        checks = []
-        for face in sorted(self.base.nonempty_faces()):
-            checks.append(self._check_face(face))
-        return ValidityReport(tuple(checks), monotone)
+        cm = self._carrier_masks()
+        monotone = all(
+            not cm[g[:i] + g[i + 1 :]] & ~c
+            for g, c in cm.items()
+            if len(g) > 1
+            for i in range(len(g))
+        )
+        checks = tuple(self._check_face(f) for f in sorted(self.base.nonempty_faces()))
+        return ValidityReport(checks, monotone)
 
     def _check_face(self, face: Face) -> FaceCheck:
         failures: list[str] = []
-        members = self.restriction_members(face)
-        if not members:
+        k = self.restriction_complex(face)
+        if k.dim < 0:
             return FaceCheck(face, ("nonvoid",))
-        k = SimplicialComplex.from_faces(members)
         if k.dim != len(face) - 1:
             failures.append("dimension")
         if not k.is_pure:
@@ -224,55 +253,42 @@ class Subdivision:
             ):
                 failures.append("boundary-betti-sphere")
         if boundary is not None:
-            interior = set(k.nonempty_faces()) - boundary.nonempty_faces()
-            preimage = {g for g in members if self.carrier[g] == face}
+            faces = k.nonempty_faces()
+            cm, fmask = self._carrier_masks(), self._mask(face)
+            preimage = {g for g in faces if cm[g] == fmask}
+            interior = faces - boundary.nonempty_faces()
             if interior != preimage:
                 failures.append("interior-condition")
         return FaceCheck(face, tuple(failures))
 
     # -- predicates ----------------------------------------------------------
 
-    def _vertex_carrier_union(self, face: Face) -> Face:
-        out: set[str] = set()
-        for v in face:
-            out |= set(self.carrier[(v,)])
-        return tuple(sorted(out))
-
     def is_quasi_geometric(self) -> PredicateResult:
         """No face may have all its vertex carriers inside a smaller base face."""
-        base_faces = None
-        for e in sorted(self.carrier, key=lambda f: (len(f), f)):
+        base = None if self.base_is_simplex else self._base_masks()
+        for e, _, u in self._carrier_unions():
             if len(e) < 2:
                 continue
-            u = self._vertex_carrier_union(e)
-            if self.base_is_simplex:
-                if len(u) < len(e):
-                    return PredicateResult(False, (e, u))
-            else:
-                if base_faces is None:
-                    base_faces = sorted(self.base.nonempty_faces(), key=lambda f: (len(f), f))
-                us = set(u)
-                for f in base_faces:
-                    if len(f) < len(e) and us <= set(f):
-                        return PredicateResult(False, (e, f))
+            if base is None:
+                if u.bit_count() < len(e):
+                    return PredicateResult(False, (e, self._face(u)))
+                continue
+            for f, fm in base:
+                if len(f) < len(e) and not u & ~fm:
+                    return PredicateResult(False, (e, f))
         return PredicateResult(True)
 
     def is_vertex_induced(self) -> PredicateResult:
         """Whenever all vertices of a face lie over F, the face itself must too."""
-        base_faces = None
-        for e in sorted(self.carrier, key=lambda f: (len(f), f)):
-            u = self._vertex_carrier_union(e)
-            c = self.carrier[e]
-            if self.base_is_simplex:
+        base = None if self.base_is_simplex else self._base_masks()
+        for e, c, u in self._carrier_unions():
+            if base is None:
                 if c != u:
-                    return PredicateResult(False, (e, u))
-            else:
-                if base_faces is None:
-                    base_faces = sorted(self.base.nonempty_faces(), key=lambda f: (len(f), f))
-                us, cs = set(u), set(c)
-                for f in base_faces:
-                    if us <= set(f) and not cs <= set(f):
-                        return PredicateResult(False, (e, f))
+                    return PredicateResult(False, (e, self._face(u)))
+                continue
+            for f, fm in base:
+                if not u & ~fm and c & ~fm:
+                    return PredicateResult(False, (e, f))
         return PredicateResult(True)
 
     # -- local h ---------------------------------------------------------------
@@ -284,21 +300,15 @@ class Subdivision:
     def _subset_h_table(self) -> dict[int, Polynomial]:
         """h-polynomial of the restriction to every vertex subset (simplex base).
 
-        Subsets are encoded as bitmasks over the sorted base vertex list; each
-        total face contributes one face count to every superset of its carrier.
+        Keyed by subset mask; each total face contributes one face count to
+        every superset of its carrier mask.
         """
         if "ht" in self._cache:
             return self._cache["ht"]
         self._require_simplex_base()
-        verts = self.base.vertices
-        idx = {v: i for i, v in enumerate(verts)}
-        d = len(verts)
-        full = (1 << d) - 1
-        counts: dict[int, dict[int, int]] = {m: {} for m in range(1 << d)}
-        for g, c in self.carrier.items():
-            cmask = 0
-            for v in c:
-                cmask |= 1 << idx[v]
+        full = (1 << len(self.base.vertices)) - 1
+        counts: dict[int, dict[int, int]] = {m: {} for m in range(full + 1)}
+        for g, cmask in self._carrier_masks().items():
             free = full ^ cmask
             sub = free
             size = len(g)
@@ -334,38 +344,22 @@ class Subdivision:
             raise NotPureError("locality formula requires a pure base")
         if self.base_is_simplex:
             table = self._subset_h_table()
-            d = len(self.base.vertices)
-            total = ZERO
-            for mask in range(1 << d):
-                ell = _alternating_subset_sum(table, mask)
-                total = total + ell
-            return total
-        h_cache: dict[Face, Polynomial] = {}
-        for f in self.base.all_faces():
-            h_cache[f] = self.restriction_complex(f).h_polynomial()
-        total = ZERO
-        for f in sorted(self.base.all_faces()):
-            ell = ZERO
-            for sub in subsets(f):
-                term = h_cache[sub]
-                if (len(f) - len(sub)) % 2:
-                    ell = ell - term
-                else:
-                    ell = ell + term
-            total = total + ell * self.base.link(f).h_polynomial()
-        return total
+            return sum((_alternating_subset_sum(table, m) for m in table), ZERO)
+        faces = sorted(self.base.all_faces())
+        table = {self._mask(f): self.restriction_complex(f).h_polynomial() for f in faces}
+        return sum(
+            (
+                _alternating_subset_sum(table, self._mask(f)) * self.base.link(f).h_polynomial()
+                for f in faces
+            ),
+            ZERO,
+        )
 
     # -- cached per-subset data shared with the identity checkers -------------
 
     def subset_h(self, face) -> Polynomial:
         """h-polynomial of the restriction to a vertex subset (simplex base)."""
-        face = canonical_face(face)
-        verts = self.base.vertices
-        idx = {v: i for i, v in enumerate(verts)}
-        mask = 0
-        for v in face:
-            mask |= 1 << idx[v]
-        return self._subset_h_table()[mask]
+        return self._subset_h_table()[self._mask(face)]
 
     def subset_boundary_h(self, face) -> Polynomial:
         """h-polynomial of the boundary of the restriction to a vertex subset.
@@ -379,6 +373,10 @@ class Subdivision:
             b = self.restriction_complex(face).boundary()
             self._cache[key] = ZERO if b.is_void else b.h_polynomial()
         return self._cache[key]
+
+
+def _by_size(face: Face) -> tuple[int, Face]:
+    return len(face), face
 
 
 def _complex_from_members(members: list[Face], expected_card: int) -> SimplicialComplex:

@@ -20,7 +20,10 @@ def run(capsys, *argv):
 
 # SHA-256 of stdout and the exit code of each command, recorded before the
 # search thread pool, the duplicate subset/f->h/gamma-basis loops and the
-# sweep script were removed.  A refactor must keep every one byte-identical.
+# sweep script were removed.  The entries for double_push (a quasi-geometric
+# witness), the two-triangle base and the two broken carrier maps were
+# recorded before carrier queries moved to base-vertex bitmasks.  A refactor
+# must keep every one byte-identical.
 GOLDEN = [
     (("compute", "bary_stellar_triangle.json"), 0,
      "83f57cd08d765919311696242697cceae19cf76cc8adc3ad3e61efde3f849ccb"),
@@ -56,6 +59,22 @@ GOLDEN = [
      "6f9e5c769ec71d25acd7a4324442f8611f88580ba3dffcc29d11ff2465e92567"),
     (("cdindex", "stellar_triangle_poset.json"), 0,
      "64f72c160bc52262c53442f5ef4a156d1ef3f1f2c53b9ff2fa017ae9949a20cf"),
+    (("compute", "double_push.json"), 0,
+     "2ddd6decb1b65715328b55452a38eefcf2fdbefaee0e28937381b5370d53db76"),
+    (("identities", "double_push.json", "--json"), 0,
+     "fa1489cc4573c746c1785c743ec00b3fec6eda186f14527fd5befb18b5d49cdc"),
+    (("compute", "stellar_two_triangles.json"), 0,
+     "56d129bee1bb11b56b5031607e679693071d936c20a0b1636ddc76f3b8421b6c"),
+    (("identities", "stellar_two_triangles.json", "--json"), 0,
+     "2cc21ea099101a8fbf11eb1987af1bba878791923195408e07f7d025c22967d6"),
+    (("compute", "broken_stellar_triangle.json"), 1,
+     "0604ba25ebdeebd7ab0b6433d877980cb2cfe116e5fcc76cc7084361c2eb5c7c"),
+    (("identities", "broken_stellar_triangle.json", "--json"), 1,
+     "5522fc738b9b4a31c9480e08aa387038f7e2383a0cf83d4b7baed01b0e28912b"),
+    (("compute", "broken_two_triangles.json"), 1,
+     "5f47fce5674b44723bdef93159ea4929733d65c02bb159ea399a02a9ad1255cd"),
+    (("identities", "broken_two_triangles.json", "--json"), 1,
+     "2ac8ebec684ddef642b454a5ed6b5cabe6a8fbb08a258b2b9cf0d434391fc16c"),
     (("search", "--seed", "0", "--count", "12", "--max-d", "5", "--steps", "6",
       "--include-sd"), 0,
      "8f626a02d679bda082d0b297a49cb70b0c20de73379d12f284860a11b4bf2dbc"),
@@ -116,6 +135,26 @@ def test_realize_invalid_target(capsys):
     code, _, err = run(capsys, "realize", "--target", "0,1,2,0")
     assert code == 2
     assert "invalid target" in err
+
+
+def test_realize_target_entry_not_an_integer(capsys):
+    code, _, err = run(capsys, "realize", "--target", "0,x")
+    assert code == 2
+    assert "realize --target: 'x' is not an integer" in err
+    assert "invalid literal" not in err
+
+
+def test_cdindex_refuses_a_monogon(tmp_path, capsys):
+    f = tmp_path / "monogon.json"
+    f.write_text(json.dumps({
+        "format": "localh/1",
+        "elements": [{"id": "v", "dim": 0}, {"id": "e", "dim": 1}, {"id": "f", "dim": 2}],
+        "covers": [["v", "e"], ["e", "f"]],
+    }))
+    code, out, err = run(capsys, "cdindex", str(f))
+    assert code == 2
+    assert out == ""
+    assert "poset: interval [v, f] has 1 middle element, expected 2" in err
 
 
 def test_bary_pipeline_through_files(tmp_path, capsys):

@@ -10,6 +10,7 @@ from localh.posets import (
     NotExpressible,
     UngradedPosetError,
     ab_index,
+    boundary_poset,
     cd_extract,
     cd_words,
     ek_difference,
@@ -238,3 +239,41 @@ def test_cd_gamma_relation():
         by_d_count[w.count("d")] = by_d_count.get(w.count("d"), 0) + c
     for k, g in enumerate(gamma.gammas):
         assert g == by_d_count.get(k, 0) * 2**k
+
+
+def closure_boundary_poset(p):
+    """The rim's order ideal through a transitive closure of the covers."""
+    d = p.rank
+    count = {e: 0 for e, _ in p.elements}
+    for lo, up in p.covers:
+        if p.dims[lo] == d - 2 and p.dims[up] == d - 1:
+            count[lo] += 1
+    keep = {e for e, dim in p.elements if dim == d - 2 and count[e] == 1}
+    frontier = set(keep)
+    while frontier:
+        frontier = {lo for lo, up in p.covers if up in frontier} - keep
+        keep |= frontier
+    return keep or None
+
+
+def test_boundary_poset_is_the_order_ideal_of_the_rim():
+    sources = [
+        PATH2,
+        simplex("abc"),
+        simplex("abcde"),
+        HEXAGON,
+        stellar_facet(trivial_on(4)).total,
+        sd_subdivision(stellar_facet(trivial_on(3))).total,
+    ]
+    posets = [face_poset(s) for s in sources] + [SQUARE_CELL]
+    for p in posets:
+        got = boundary_poset(p)
+        want = closure_boundary_poset(p)
+        if want is None:
+            assert got is None
+            continue
+        assert {e for e, _ in got.elements} == want
+        assert got.elements == tuple(x for x in p.elements if x[0] in want)
+        assert got.covers == tuple(
+            c for c in p.covers if c[0] in want and c[1] in want
+        )

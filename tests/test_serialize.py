@@ -5,7 +5,13 @@ import pytest
 
 from localh import serialize
 from localh.complexes import SimplicialComplex, simplex
-from localh.constructions import OpStep, OpWord, push_then_stellar, trivial_on
+from localh.constructions import (
+    OpStep,
+    OpWord,
+    push_then_stellar,
+    random_subdivision,
+    trivial_on,
+)
 from localh.posets import face_poset, sd_subdivision
 from localh.serialize import SchemaError
 
@@ -122,3 +128,45 @@ def test_detect_kind():
     assert serialize.detect_kind(w) == "opword"
     with pytest.raises(SchemaError):
         serialize.detect_kind({"x": 1})
+
+
+MONOGON = {
+    "elements": [{"id": "v", "dim": 0}, {"id": "e", "dim": 1}, {"id": "f", "dim": 2}],
+    "covers": [["v", "e"], ["e", "f"]],
+}
+
+
+def test_poset_monogon_is_not_thin():
+    with pytest.raises(SchemaError, match=r"interval \[v, f\] has 1 middle element, expected 2"):
+        serialize.poset_from_obj(MONOGON)
+
+
+def test_poset_edge_with_one_vertex_is_not_thin():
+    obj = {
+        "elements": [{"id": "v", "dim": 0}, {"id": "e", "dim": 1}],
+        "covers": [["v", "e"]],
+    }
+    with pytest.raises(SchemaError, match="edge e covers 1 vertex, expected 2"):
+        serialize.poset_from_obj(obj)
+
+
+def test_poset_extra_cover_breaks_thinness():
+    # three 2-cells glued along the edge e, each a bigon with a second edge
+    elements = [{"id": i, "dim": 0} for i in ("a", "b")] + [
+        {"id": i, "dim": 1} for i in ("e", "e1", "e2", "e3")
+    ] + [{"id": i, "dim": 2} for i in ("c1", "c2", "c3")]
+    covers = [[v, e] for v in ("a", "b") for e in ("e", "e1", "e2", "e3")]
+    covers += [["e", f"c{i}"] for i in (1, 2, 3)] + [[f"e{i}", f"c{i}"] for i in (1, 2, 3)]
+    serialize.poset_from_obj({"elements": elements, "covers": covers})
+    covers.append(["e1", "c2"])
+    with pytest.raises(SchemaError, match=r"interval \[a, c2\] has 3 middle elements"):
+        serialize.poset_from_obj({"elements": elements, "covers": covers})
+
+
+def test_face_posets_of_corpus_members_are_thin():
+    for seed in range(20):
+        s, _ = random_subdivision(seed, 5, 4)
+        for face in [s.base.vertices, s.base.vertices[:3]]:
+            restriction = s.restriction_complex(face)
+            serialize.poset_from_obj(serialize.poset_to_obj(face_poset(restriction)))
+        serialize.poset_from_obj(serialize.poset_to_obj(face_poset(s)))

@@ -1,12 +1,15 @@
 import math
+import random
 from itertools import combinations
 
 import pytest
 
 from localh.complexes import SimplicialComplex, simplex, simplex_boundary
 from localh.constructions import (
+    pushable_ridges,
     push_ridge,
     push_then_stellar,
+    random_subdivision,
     stellar_facet,
     trivial_on,
 )
@@ -267,3 +270,145 @@ def test_subset_h_matches_restriction_complex():
             got = s.subset_h(sub)
             want = s.restriction_complex(sub).h_polynomial()
             assert got == want
+
+
+# -- label-set oracles for every carrier query ------------------------------
+
+
+def oracle_members(s, face):
+    fs = set(face)
+    return {g for g, c in s.carrier.items() if set(c) <= fs}
+
+
+def oracle_union(s, face):
+    out = set()
+    for v in face:
+        out |= set(s.carrier[(v,)])
+    return out
+
+
+def _by_size(faces):
+    return sorted(faces, key=lambda f: (len(f), f))
+
+
+def oracle_quasi_geometric(s):
+    base_faces = _by_size(s.base.nonempty_faces())
+    for e in _by_size(s.carrier):
+        if len(e) < 2:
+            continue
+        u = oracle_union(s, e)
+        if s.base_is_simplex:
+            if len(u) < len(e):
+                return False, (e, tuple(sorted(u)))
+            continue
+        for f in base_faces:
+            if len(f) < len(e) and u <= set(f):
+                return False, (e, f)
+    return True, None
+
+
+def oracle_vertex_induced(s):
+    base_faces = _by_size(s.base.nonempty_faces())
+    for e in _by_size(s.carrier):
+        u, c = oracle_union(s, e), set(s.carrier[e])
+        if s.base_is_simplex:
+            if c != u:
+                return False, (e, tuple(sorted(u)))
+            continue
+        for f in base_faces:
+            if u <= set(f) and not c <= set(f):
+                return False, (e, f)
+    return True, None
+
+
+def oracle_monotone(s):
+    return all(
+        set(s.carrier[g[:i] + g[i + 1 :]]) <= set(c)
+        for g, c in s.carrier.items()
+        for i in range(len(g))
+        if len(g) >= 2
+    )
+
+
+def assert_matches_oracles(s, check_validity=False):
+    for face in s.base.all_faces():
+        assert set(s.restriction_members(face)) == oracle_members(s, face)
+    for got, want in [
+        (s.is_quasi_geometric(), oracle_quasi_geometric(s)),
+        (s.is_vertex_induced(), oracle_vertex_induced(s)),
+    ]:
+        assert (got.holds, got.witness) == want
+    if check_validity:
+        assert s.validate().monotone == oracle_monotone(s)
+
+
+def unrepaired_pushes(seed):
+    """Random stellar subdivisions and bare ridge pushes of a 3- or 4-simplex."""
+    rng = random.Random(seed)
+    s = trivial_on(rng.choice([4, 5]))
+    for _ in range(3):
+        ridges = pushable_ridges(s)
+        if ridges and rng.random() < 0.7:
+            s = push_ridge(s, rng.choice(ridges))
+        else:
+            s = stellar_facet(s, rng.choice(sorted(s.total.facets)))
+    return s
+
+
+def single_carrier_corruptions(s):
+    """Every subdivision that differs from s in exactly one carrier."""
+    base_faces = sorted(s.base.nonempty_faces())
+    for g in sorted(s.carrier):
+        for c in base_faces:
+            if c != s.carrier[g]:
+                carrier = dict(s.carrier)
+                carrier[g] = c
+                yield Subdivision(s.base, s.total, carrier)
+
+
+def test_carrier_queries_match_oracles_on_random_members():
+    for seed in range(12):
+        s, _ = random_subdivision(seed, 5, 4)
+        assert_matches_oracles(s, check_validity=True)
+        small = len(s.base.vertices) <= 4
+        assert_matches_oracles(sd_subdivision(s), check_validity=small)
+
+
+def test_carrier_queries_match_oracles_on_unrepaired_pushes():
+    verdicts = set()
+    for seed in range(12):
+        s = unrepaired_pushes(seed)
+        assert_matches_oracles(s, check_validity=True)
+        verdicts.add(s.is_quasi_geometric().holds)
+    assert verdicts == {True, False}
+
+
+def test_carrier_queries_match_oracles_on_non_simplex_bases():
+    hexagon = SimplicialComplex(
+        [("1", "2"), ("2", "3"), ("3", "4"), ("4", "5"), ("5", "6"), ("1", "6")]
+    )
+    two_triangles = SimplicialComplex([("a", "b", "c"), ("b", "c", "d")])
+    glued = stellar_facet(Subdivision.trivial(two_triangles))
+    cases = [
+        Subdivision.trivial(hexagon),
+        stellar_facet(Subdivision.trivial(hexagon)),
+        Subdivision.trivial(simplex_boundary("1234")),
+        stellar_facet(Subdivision.trivial(simplex_boundary("1234"))),
+        glued,
+    ]
+    cases += list(single_carrier_corruptions(glued))[::5]
+    for s in cases:
+        assert_matches_oracles(s, check_validity=True)
+
+
+def test_carrier_queries_match_oracles_on_corrupted_carriers():
+    monotone = set()
+    for s in single_carrier_corruptions(trivial_on(3)):
+        assert_matches_oracles(s, check_validity=True)
+        monotone.add(s.validate().monotone)
+    assert monotone == {True, False}
+
+
+def test_restriction_members_ignores_labels_outside_the_base():
+    s = stellar_facet(trivial_on(3))
+    assert s.restriction_members(("v1", "v2", "nope")) == s.restriction_members(("v1", "v2"))
