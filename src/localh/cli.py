@@ -120,7 +120,12 @@ def cmd_identities(args) -> int:
         print(serialize.dump_json(report.to_json(), None))
     else:
         print(report.to_table())
-    return OK if report.all_match else CHECK_FAILED
+    if report.all_match:
+        return OK
+    validity = s.validate()
+    if not validity.valid:
+        print(f"note: input fails the weak-ball check: {validity.verdict}", file=sys.stderr)
+    return CHECK_FAILED
 
 
 def cmd_derangement(args) -> int:

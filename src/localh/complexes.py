@@ -43,18 +43,22 @@ def subsets(face: Face):
         yield from combinations(face, k)
 
 
-def gf2_rank(rows: list[int]) -> int:
-    """Rank over GF(2) of a matrix whose rows are given as integer bitmasks."""
-    pivots: list[int] = []
-    rank = 0
+def gf2_rank(rows: list[int], pivots: dict[int, int] | None = None) -> int:
+    """Rank over GF(2) of a matrix whose rows are given as integer bitmasks.
+
+    Pivot-keyed (Edelsbrunner-Letscher-Zomorodian 2002): a row XORs only the
+    pivot under its highest set bit, until it is zero or becomes a new pivot.
+    An empty dict passed as ``pivots`` receives the pivots by highest bit.
+    """
+    pivots = {} if pivots is None else pivots
     for row in rows:
-        for p in pivots:
-            row = min(row, row ^ p)
-        if row:
-            pivots.append(row)
-            pivots.sort(reverse=True)
-            rank += 1
-    return rank
+        while row:
+            top = row.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = row
+                break
+            row ^= pivots[top]
+    return len(pivots)
 
 
 class SimplicialComplex:
@@ -221,7 +225,13 @@ class SimplicialComplex:
     # -- homology over GF(2) ----------------------------------------------
 
     def betti_z2(self) -> tuple[int, ...]:
-        """Reduced Betti numbers over GF(2), indices 0..dim."""
+        """Reduced Betti numbers over GF(2), indices 0..dim.
+
+        Ranks run top-down with clearing (Chen-Kerber 2011): a k-face that is
+        the pivot of a reduced (k+1)-column is skipped.  That column is a
+        cycle with this face highest, so the face's column sums earlier ones
+        (one sorted order of the k-faces numbers those rows and these columns).
+        """
         if self.is_void:
             raise VoidComplexError("void complex has no homology")
         top = self.dim
@@ -233,20 +243,19 @@ class SimplicialComplex:
             for k in range(-1, top + 1)
         }
         ranks = [0] * (top + 2)
-        for k in range(top + 1):
+        pivots: dict[int, int] = {}
+        for k in range(top, -1, -1):
             rows_below = index[k - 1]
             cols = []
-            for face in sorted(index[k]):
-                mask = 0
-                for sub in combinations(face, k):
-                    mask |= 1 << rows_below[sub]
-                cols.append(mask)
-            ranks[k] = gf2_rank(cols)
-        betti = []
-        for k in range(top + 1):
-            f_k = len(index[k])
-            betti.append(f_k - ranks[k] - ranks[k + 1])
-        return tuple(betti)
+            for face, i in index[k].items():
+                if i not in pivots:
+                    mask = 0
+                    for sub in combinations(face, k):
+                        mask |= 1 << rows_below[sub]
+                    cols.append(mask)
+            pivots = {}
+            ranks[k] = gf2_rank(cols, pivots)
+        return tuple(len(index[k]) - ranks[k] - ranks[k + 1] for k in range(top + 1))
 
 
 VOID = SimplicialComplex([])

@@ -12,7 +12,7 @@ import json
 from collections import Counter
 from typing import Any
 
-from .complexes import Face, SimplicialComplex, canonical_face
+from .complexes import SimplicialComplex, canonical_face
 from .constructions import OpStep, OpWord
 from .posets import FacePoset
 from .subdivisions import Subdivision
@@ -109,32 +109,30 @@ def subdivision_from_obj(obj: Any) -> Subdivision:
     raw = obj["carrier"]
     if not isinstance(raw, dict):
         raise SchemaError("subdivision.carrier: expected an object")
-    carrier: dict[Face, Face] = {}
+    # Subdivision canonicalizes keys and values and checks totality, once.
+    carrier: dict[tuple[str, ...], list[str]] = {}
     for key, value in raw.items():
-        face = canonical_face(key.split(","))
         if not isinstance(value, list):
             raise SchemaError(f"subdivision.carrier[{key}]: expected an array")
-        carrier[face] = canonical_face(
+        carrier[tuple(key.split(","))] = [
             _check_label(v, f"subdivision.carrier[{key}]") for v in value
-        )
-    needed = total.nonempty_faces()
-    missing = needed - carrier.keys()
-    if missing:
-        vertex_keys = {f for f in carrier if len(f) == 1}
-        if carrier and vertex_keys == set(carrier):
+        ]
+    try:
+        return Subdivision(base, total, carrier)
+    except ValueError as exc:
+        missing = total.nonempty_faces() - {canonical_face(g) for g in carrier}
+        if not missing:
+            raise SchemaError(f"subdivision: {exc}") from exc
+        if carrier and all(len(set(g)) == 1 for g in carrier):
             raise SchemaError(
                 "subdivision.carrier: only vertices are listed; carriers are "
                 "required on all faces because pushed faces carry strictly "
                 "more than the span of their vertex carriers"
-            )
+            ) from exc
         raise SchemaError(
             f"subdivision.carrier: missing {len(missing)} faces, "
             f"e.g. {','.join(sorted(missing)[0])}"
-        )
-    try:
-        return Subdivision(base, total, carrier)
-    except ValueError as exc:
-        raise SchemaError(f"subdivision: {exc}") from exc
+        ) from exc
 
 
 # -- posets -----------------------------------------------------------------------

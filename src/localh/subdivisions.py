@@ -189,8 +189,16 @@ class Subdivision:
 
     def restriction_members(self, face) -> list[Face]:
         """Nonempty faces of the total complex carried into the given base face."""
-        outside = ~self._mask(face)
-        return [g for g, c in self._carrier_masks().items() if not c & outside]
+        if "cb" not in self._cache:
+            self._cache["cb"] = {}
+            for g, c in self._carrier_masks().items():
+                self._cache["cb"].setdefault(c, []).append(g)
+        buckets, members = self._cache["cb"], []
+        mask = sub = self._mask(face)
+        while sub:  # the buckets of every submask, so members come grouped by carrier
+            members += buckets.get(sub, ())
+            sub = (sub - 1) & mask
+        return members
 
     def restriction_complex(self, face) -> SimplicialComplex:
         """The subcomplex lying over a base face."""

@@ -3,8 +3,8 @@
 One session-scoped pass builds the generated corpus (seeds 0..99, base
 dimension capped at 5, up to 6 construction steps) together with each
 member's barycentric subdivision, evaluates every per-member check the
-acceptance criteria need, and keeps only small summary records so memory
-stays bounded.
+acceptance criteria need, the weak-ball check among them, and keeps only
+small summary records so memory stays bounded.
 """
 
 from __future__ import annotations
@@ -105,6 +105,9 @@ def _summaries():
             d = len(sub.base.vertices)
             failures = _identity_failures(sub)
             failures += _boundary_formula_failures(sub)
+            validity = sub.validate()
+            if not validity.valid:
+                failures.append(f"weak-ball check fails: {validity.verdict}")
             if not is_bary:
                 failures += _ek_failures(sub, ek_cache)
             local = sub.local_h()

@@ -189,9 +189,21 @@ def test_identities_fixture(capsys):
 
 
 def test_identities_table(capsys):
-    code, out, _ = run(capsys, "identities", str(FIXTURES / "trivial_d4.json"))
+    code, out, err = run(capsys, "identities", str(FIXTURES / "trivial_d4.json"))
     assert code == 0
     assert "all identities hold" in out
+    assert "weak-ball" not in err
+
+
+@pytest.mark.parametrize("name", ["broken_stellar_triangle", "broken_two_triangles"])
+def test_identities_notes_an_invalid_input(capsys, name):
+    path = str(FIXTURES / f"{name}.json")
+    code, out, err = run(capsys, "identities", path)
+    assert code == 1
+    assert "MISMATCH" in out
+    _, compute_out, _ = run(capsys, "compute", path)
+    verdict = json.loads(compute_out)["validity"]
+    assert f"note: input fails the weak-ball check: {verdict}\n" in err
 
 
 def test_derangement_table(capsys):

@@ -46,9 +46,74 @@ def naive_gf2_rank(rows, width):
     return rank
 
 
-@given(st.lists(st.integers(0, 2**10 - 1), max_size=12))
-def test_gf2_rank_matches_naive(rows):
-    assert gf2_rank(rows) == naive_gf2_rank(rows, 10)
+def sorted_pivot_gf2_rank(rows):
+    """Second oracle: reduce each row against every pivot, largest first."""
+    pivots = []
+    for row in rows:
+        for p in pivots:
+            row = min(row, row ^ p)
+        if row:
+            pivots.append(row)
+            pivots.sort(reverse=True)
+    return len(pivots)
+
+
+@st.composite
+def gf2_matrices(draw):
+    """A width and up to 40 rows, some of them XORs of earlier rows."""
+    width = draw(st.integers(1, 64))
+    rows = []
+    for _ in range(draw(st.integers(0, 40))):
+        if rows and draw(st.booleans()):
+            row = 0
+            for earlier in draw(st.lists(st.sampled_from(rows), min_size=1, max_size=4)):
+                row ^= earlier
+        else:
+            row = draw(st.integers(0, 2**width - 1))
+        rows.append(row)
+    return width, rows
+
+
+@given(gf2_matrices())
+def test_gf2_rank_matches_naive(matrix):
+    width, rows = matrix
+    pivots = {}
+    rank = gf2_rank(rows, pivots)
+    assert rank == naive_gf2_rank(rows, width) == sorted_pivot_gf2_rank(rows)
+    assert rank == len(pivots)
+    assert all(p.bit_length() - 1 == top for top, p in pivots.items())
+
+
+def naive_betti(k):
+    """Reduced Betti numbers from dense ranks of every boundary map, no clearing."""
+    by_size = {}
+    for f in naive_closure(k.facets):
+        by_size.setdefault(len(f), []).append(f)
+    top = max(by_size)
+    ranks = {}
+    for n in range(1, top + 1):
+        row = {f: i for i, f in enumerate(sorted(by_size[n - 1]))}
+        cols = [sum(1 << row[sub] for sub in combinations(f, n - 1)) for f in by_size[n]]
+        ranks[n] = naive_gf2_rank(cols, len(row))
+    return tuple(len(by_size[n]) - ranks[n] - ranks.get(n + 1, 0) for n in range(1, top + 1))
+
+
+complexes_on_seven_vertices = st.one_of(
+    st.lists(
+        st.sets(st.sampled_from("abcdefg"), min_size=1, max_size=7),
+        min_size=1,
+        max_size=8,
+    ).map(SimplicialComplex.from_faces),
+    st.integers(2, 7).map(lambda n: simplex_boundary("abcdefg"[:n])),
+    st.integers(2, 4).map(
+        lambda n: simplex_boundary("abcd"[:n]).join(simplex_boundary("efg"))
+    ),
+)
+
+
+@given(complexes_on_seven_vertices)
+def test_betti_with_clearing_matches_naive_ranks(k):
+    assert k.betti_z2() == naive_betti(k)
 
 
 def test_faces_examples():
