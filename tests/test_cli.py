@@ -197,13 +197,11 @@ def test_identities_table(capsys):
 
 @pytest.mark.parametrize("name", ["broken_stellar_triangle", "broken_two_triangles"])
 def test_identities_notes_an_invalid_input(capsys, name):
-    path = str(FIXTURES / f"{name}.json")
-    code, out, err = run(capsys, "identities", path)
+    code, out, err = run(capsys, "identities", str(FIXTURES / f"{name}.json"))
     assert code == 1
     assert "MISMATCH" in out
-    _, compute_out, _ = run(capsys, "compute", path)
-    verdict = json.loads(compute_out)["validity"]
-    assert f"note: input fails the weak-ball check: {verdict}\n" in err
+    note = "note: input fails the weak-ball check: invalid(carrier-not-inclusion-preserving)"
+    assert note + "\n" in err
 
 
 def test_derangement_table(capsys):
