@@ -2,7 +2,8 @@
 boundaries, and reduced homology over the two-element field.
 
 A face is a tuple of vertex labels in sorted order; a complex is stored by
-its facets and the downward closure is computed (and memoized) on demand.
+its facets and its downward closure, which one routine (``_closure``) builds
+once, at construction.
 Two degenerate complexes are distinguished: the void complex has no faces at
 all, while the empty complex consists of the single face ().
 """
@@ -61,28 +62,36 @@ def gf2_rank(rows: list[int], pivots: dict[int, int] | None = None) -> int:
     return len(pivots)
 
 
+def _closure(faces: Iterable[Face]) -> tuple[list[Face], dict[int, frozenset[Face]]]:
+    """Maximal members and downward closure, by dimension, of canonical faces.
+
+    Faces are walked largest first, and one is kept only if the closure of
+    those kept before it does not already hold it.
+    """
+    kept: list[Face] = []
+    table: dict[int, set[Face]] = {}
+    for f in sorted(faces, key=len, reverse=True):
+        if f in table.get(len(f) - 1, ()):
+            continue
+        kept.append(f)
+        for k in range(len(f) + 1):
+            table.setdefault(k - 1, set()).update(combinations(f, k))
+    return kept, {d: frozenset(fs) for d, fs in table.items()}
+
+
 class SimplicialComplex:
-    """Immutable simplicial complex stored by its facets."""
+    """Immutable simplicial complex stored by its facets and face closure."""
 
     __slots__ = ("facets", "_by_dim")
 
     def __init__(self, facets: Iterable[Iterable[str]]):
-        canon = frozenset(canonical_face(f) for f in facets)
-        by_size: dict[int, list[Face]] = {}
-        for f in canon:
-            by_size.setdefault(len(f), []).append(f)
-        sizes = sorted(by_size)
-        for i, size in enumerate(sizes):
-            bigger = [set(g) for s in sizes[i + 1 :] for g in by_size[s]]
-            if not bigger:
-                continue
-            for f in by_size[size]:
-                fs = set(f)
-                for g in bigger:
-                    if fs <= g:
-                        raise ValueError(f"facet {f} is contained in a larger facet")
-        object.__setattr__(self, "facets", canon)
-        object.__setattr__(self, "_by_dim", None)
+        canon = {canonical_face(f) for f in facets}
+        kept, by_dim = _closure(canon)
+        if len(kept) < len(canon):
+            inner = min(canon.difference(kept))
+            raise ValueError(f"facet {inner} is contained in a larger facet")
+        object.__setattr__(self, "facets", frozenset(kept))
+        object.__setattr__(self, "_by_dim", by_dim)
 
     def __setattr__(self, name, value):
         raise AttributeError("SimplicialComplex is immutable")
@@ -90,17 +99,16 @@ class SimplicialComplex:
     @classmethod
     def from_faces(cls, faces: Iterable[Iterable[str]]) -> "SimplicialComplex":
         """Build from any face family by keeping its inclusion-maximal members."""
-        canon = {canonical_face(f) for f in faces}
-        by_size: dict[int, set[Face]] = {}
-        for f in canon:
-            by_size.setdefault(len(f), set()).add(f)
-        maximal: list[Face] = []
-        for size in sorted(by_size, reverse=True):
-            for f in sorted(by_size[size]):
-                fs = set(f)
-                if not any(fs <= set(g) for g in maximal):
-                    maximal.append(f)
-        return cls(maximal)
+        return cls._generated_by({canonical_face(f) for f in faces})
+
+    @classmethod
+    def _generated_by(cls, faces: Iterable[Face]) -> "SimplicialComplex":
+        """The complex generated by faces that are already canonical."""
+        kept, by_dim = _closure(faces)
+        k = object.__new__(cls)
+        object.__setattr__(k, "facets", frozenset(kept))
+        object.__setattr__(k, "_by_dim", by_dim)
+        return k
 
     # -- basic structure -------------------------------------------------
 
@@ -111,9 +119,7 @@ class SimplicialComplex:
     @property
     def dim(self) -> int | None:
         """Dimension, or None for the void complex."""
-        if self.is_void:
-            return None
-        return max(len(f) for f in self.facets) - 1
+        return max(self._by_dim, default=None)
 
     @property
     def is_pure(self) -> bool:
@@ -128,16 +134,6 @@ class SimplicialComplex:
 
     def faces_by_dim(self) -> dict[int, frozenset[Face]]:
         """All faces grouped by dimension, the empty face at dimension -1."""
-        if self._by_dim is None:
-            table: dict[int, set[Face]] = {}
-            for facet in self.facets:
-                for k in range(len(facet) + 1):
-                    bucket = table.setdefault(k - 1, set())
-                    for sub in combinations(facet, k):
-                        bucket.add(sub)
-            object.__setattr__(
-                self, "_by_dim", {d: frozenset(fs) for d, fs in table.items()}
-            )
         return self._by_dim
 
     def faces(self, dim: int) -> frozenset[Face]:
@@ -145,13 +141,10 @@ class SimplicialComplex:
 
     def all_faces(self) -> set[Face]:
         """Every face including the empty one (empty set for the void complex)."""
-        out: set[Face] = set()
-        for fs in self.faces_by_dim().values():
-            out |= fs
-        return out
+        return set().union(*self.faces_by_dim().values())
 
     def nonempty_faces(self) -> set[Face]:
-        return {f for f in self.all_faces() if f}
+        return set().union(*(fs for d, fs in self.faces_by_dim().items() if d >= 0))
 
     def __contains__(self, face) -> bool:
         face = canonical_face(face)

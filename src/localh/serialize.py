@@ -109,21 +109,21 @@ def subdivision_from_obj(obj: Any) -> Subdivision:
     raw = obj["carrier"]
     if not isinstance(raw, dict):
         raise SchemaError("subdivision.carrier: expected an object")
-    # Subdivision canonicalizes keys and values and checks totality, once.
-    carrier: dict[tuple[str, ...], list[str]] = {}
+    # faces enter the program here, so keys and values are canonicalized once
+    carrier: dict[tuple[str, ...], tuple[str, ...]] = {}
     for key, value in raw.items():
         if not isinstance(value, list):
             raise SchemaError(f"subdivision.carrier[{key}]: expected an array")
-        carrier[tuple(key.split(","))] = [
+        carrier[canonical_face(key.split(","))] = canonical_face(
             _check_label(v, f"subdivision.carrier[{key}]") for v in value
-        ]
+        )
     try:
         return Subdivision(base, total, carrier)
     except ValueError as exc:
-        missing = total.nonempty_faces() - {canonical_face(g) for g in carrier}
+        missing = total.nonempty_faces() - carrier.keys()
         if not missing:
             raise SchemaError(f"subdivision: {exc}") from exc
-        if carrier and all(len(set(g)) == 1 for g in carrier):
+        if carrier and all(len(g) == 1 for g in carrier):
             raise SchemaError(
                 "subdivision.carrier: only vertices are listed; carriers are "
                 "required on all faces because pushed faces carry strictly "
@@ -191,9 +191,11 @@ def poset_from_obj(obj: Any) -> FacePoset:
 def _check_thin(p: FacePoset) -> None:
     """Refuse a poset that cannot be the face poset of a regular CW complex.
 
-    Two necessary conditions: every length-2 interval [x, y] has exactly two
-    middle elements (thinness), and every edge covers exactly two vertices
-    (the same rule for the interval from the empty cell to the edge).
+    Three necessary conditions: every length-2 interval [x, y] has exactly two
+    middle elements (thinness), every edge covers exactly two vertices (the
+    same rule for the interval from the empty cell to the edge), and in rank
+    d >= 2 every (d-2)-cell lies under one or two top cells (a pseudomanifold,
+    possibly with boundary).
     """
     up: dict[str, set[str]] = {e: set() for e, _ in p.elements}
     for lo, hi in p.covers:
@@ -212,6 +214,12 @@ def _check_thin(p: FacePoset) -> None:
             n = ends[e]
             raise SchemaError(
                 f"poset: edge {e} covers {n} vert{'ex' if n == 1 else 'ices'}, expected 2"
+            )
+        if d == p.rank - 2 >= 0 and len(up[e]) not in (1, 2):
+            n = len(up[e])
+            raise SchemaError(
+                f"poset: element {e} lies under {n} top cell{'' if n == 1 else 's'}, "
+                "expected 1 or 2"
             )
 
 

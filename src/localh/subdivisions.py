@@ -2,7 +2,9 @@
 
 A subdivision is a total complex fibred over a base complex by an explicit
 carrier map on nonempty faces.  The carrier of a face G is the smallest base
-face whose restriction contains G in its interior; restrictions, the local
+face whose restriction contains G in its interior.  Carrier keys and values
+must be canonical faces (sorted tuples of distinct labels): the constructor
+checks them and does not repair them.  Restrictions, the local
 h-polynomial, the quasi-geometric and vertex-induced predicates, and the
 weak-ball validity check all derive from it.
 
@@ -31,7 +33,6 @@ from .complexes import (
     SimplicialComplex,
     canonical_face,
     simplex,
-    subsets,
 )
 from .polynomials import ZERO, GammaVector, Polynomial, gamma_extract, h_from_f
 
@@ -98,27 +99,27 @@ class Subdivision:
         total: SimplicialComplex,
         carrier: dict[Face, Face],
     ):
-        carrier_canon: dict[Face, Face] = {}
-        for g, f in carrier.items():
-            carrier_canon[canonical_face(g)] = canonical_face(f)
+        """Keys must be the nonempty faces of ``total`` and values base faces,
+        all canonical (sorted tuples of distinct labels).  They are checked,
+        not repaired; ``serialize`` canonicalizes faces read from a file.
+        """
         needed = total.nonempty_faces()
-        missing = needed - carrier_canon.keys()
-        if missing:
+        if carrier.keys() != needed:
+            extra = carrier.keys() - needed
+            if extra:
+                raise ValueError(f"carrier map has non-faces, e.g. {min(extra)}")
+            missing = needed - carrier.keys()
             raise ValueError(
-                f"carrier map is missing {len(missing)} faces, e.g. {sorted(missing)[0]}"
+                f"carrier map is missing {len(missing)} faces, e.g. {min(missing)}"
             )
-        extra = carrier_canon.keys() - needed
-        if extra:
-            raise ValueError(f"carrier map has non-faces, e.g. {sorted(extra)[0]}")
-        base_faces = base.all_faces()
-        for g, f in carrier_canon.items():
+        for g, f in carrier.items():
             if not f:
                 raise ValueError(f"face {g} has an empty carrier")
-            if f not in base_faces:
+            if not isinstance(f, tuple) or f not in base.faces(len(f) - 1):
                 raise ValueError(f"carrier {f} of {g} is not a base face")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "total", total)
-        object.__setattr__(self, "carrier", carrier_canon)
+        object.__setattr__(self, "carrier", dict(carrier))
         bits = {v: 1 << i for i, v in enumerate(base.vertices)}
         object.__setattr__(self, "_bits", bits)
         object.__setattr__(self, "_cache", {})
@@ -202,22 +203,17 @@ class Subdivision:
 
     def restriction_complex(self, face) -> SimplicialComplex:
         """The subcomplex lying over a base face."""
-        face = canonical_face(face)
-        key = ("rc", face)
-        if key not in self._cache:
-            members = self.restriction_members(face)
-            self._cache[key] = _complex_from_members(members, len(face))
-        return self._cache[key]
+        return SimplicialComplex._generated_by([(), *self.restriction_members(face)])
 
     def restriction(self, face) -> "Subdivision":
         face = canonical_face(face)
         if face not in self.base:
             raise ValueError(f"{face} is not a base face")
-        members = self.restriction_members(face)
+        total = self.restriction_complex(face)
         return Subdivision(
-            simplex(face) if face else SimplicialComplex([()]),
-            _complex_from_members(members, len(face)),
-            {g: self.carrier[g] for g in members},
+            simplex(face),
+            total,
+            {g: self.carrier[g] for g in total.nonempty_faces()},
         )
 
     # -- validity -----------------------------------------------------------
@@ -375,8 +371,7 @@ class Subdivision:
         The void boundary (a closed restriction, which a ball never has)
         contributes zero.
         """
-        face = canonical_face(face)
-        key = ("bh", face)
+        key = ("bh", self._mask(face))
         if key not in self._cache:
             b = self.restriction_complex(face).boundary()
             self._cache[key] = ZERO if b.is_void else b.h_polynomial()
@@ -385,21 +380,6 @@ class Subdivision:
 
 def _by_size(face: Face) -> tuple[int, Face]:
     return len(face), face
-
-
-def _complex_from_members(members: list[Face], expected_card: int) -> SimplicialComplex:
-    """Complex on a downward-closed member list, fast path for pure restrictions."""
-    if not members:
-        return SimplicialComplex([()])
-    top = [g for g in members if len(g) == expected_card]
-    if top:
-        seen: set[Face] = set()
-        for f in top:
-            seen.update(subsets(f))
-        seen.discard(())
-        if seen == set(members):
-            return SimplicialComplex(top)
-    return SimplicialComplex.from_faces(members)
 
 
 def _alternating_subset_sum(table: dict[int, Polynomial], mask: int) -> Polynomial:

@@ -157,6 +157,51 @@ def test_cdindex_refuses_a_monogon(tmp_path, capsys):
     assert "poset: interval [v, f] has 1 middle element, expected 2" in err
 
 
+def triangles_on_an_edge():
+    """Three triangles sharing the edge a-b, as a poset with carriers."""
+    apexes = ("c1", "c2", "c3")
+    edges = [("a", "b")] + [(v, c) for c in apexes for v in ("a", "b")]
+    carrier = {"a": ["x"], "b": ["y"]} | {c: ["z"] for c in apexes}
+    elements = [{"id": v, "dim": 0} for v in carrier]
+    elements += [{"id": f"{u}-{v}", "dim": 1} for u, v in edges]
+    elements += [{"id": f"t{c}", "dim": 2} for c in apexes]
+    covers = [[v, f"{u}-{w}"] for u, w in edges for v in (u, w)]
+    covers += [[e, f"t{c}"] for c in apexes for e in ("a-b", f"a-{c}", f"b-{c}")]
+    for u, v in edges:
+        carrier[f"{u}-{v}"] = sorted(carrier[u] + carrier[v])
+    for c in apexes:
+        carrier[f"t{c}"] = ["x", "y", "z"]
+    return {"format": "localh/1", "elements": elements, "covers": covers, "carrier": carrier}
+
+
+@pytest.mark.parametrize("command", ["cdindex", "bary"])
+def test_poset_with_an_edge_under_three_triangles_is_refused(tmp_path, capsys, command):
+    f = tmp_path / "three_triangles.json"
+    f.write_text(json.dumps(triangles_on_an_edge()))
+    code, out, err = run(capsys, command, str(f))
+    assert code == 2
+    assert out == ""
+    assert "poset: element a-b lies under 3 top cells, expected 1 or 2" in err
+
+
+@pytest.mark.parametrize(
+    "name", [g[0][1] for g in GOLDEN if g[0][0] == "compute"]
+)
+def test_compute_on_reversed_carrier_labels_matches_golden(tmp_path, capsys, name):
+    original = serialize.load_json(str(FIXTURES / name))
+    obj = dict(original)
+    obj["carrier"] = {
+        ",".join(reversed(k.split(","))): list(reversed(v)) for k, v in obj["carrier"].items()
+    }
+    assert serialize.subdivision_from_obj(obj) == serialize.subdivision_from_obj(original)
+    f = tmp_path / name
+    f.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "compute", str(f))
+    want_code, want_digest = next(g[1:] for g in GOLDEN if g[0] == ("compute", name))
+    assert code == want_code
+    assert hashlib.sha256(out.encode()).hexdigest() == want_digest
+
+
 def test_bary_pipeline_through_files(tmp_path, capsys):
     bary_file = tmp_path / "bary.json"
     code, _, _ = run(

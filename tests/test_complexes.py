@@ -1,3 +1,4 @@
+import re
 from itertools import combinations
 
 import pytest
@@ -143,6 +144,40 @@ def test_facet_domination_rejected():
 def test_from_faces_keeps_maximal():
     k = SimplicialComplex.from_faces([("1",), ("1", "2"), ("2",), ()])
     assert k.facets == frozenset({("1", "2")})
+
+
+def naive_maximal(faces):
+    """Oracle: the quadratic maximal-member scan, largest faces first."""
+    by_size = {}
+    for f in {tuple(sorted(set(f))) for f in faces}:
+        by_size.setdefault(len(f), set()).add(f)
+    maximal = []
+    for size in sorted(by_size, reverse=True):
+        for f in sorted(by_size[size]):
+            if not any(set(f) <= set(g) for g in maximal):
+                maximal.append(f)
+    return frozenset(maximal)
+
+
+# face families that need not be downward closed, the empty face included
+face_families = st.lists(
+    st.sets(st.sampled_from("abcdefg"), max_size=7), max_size=10
+).map(lambda fs: [tuple(sorted(f)) for f in fs])
+
+
+@given(face_families)
+def test_closure_matches_naive_scans(faces):
+    k = SimplicialComplex.from_faces(faces)
+    assert k.facets == naive_maximal(faces)
+    assert k.all_faces() == naive_closure(faces)
+    assert k.nonempty_faces() == naive_closure(faces) - {()}
+    family = set(faces)
+    inner = [f for f in family if any(set(f) < set(g) for g in family)]
+    if inner:
+        with pytest.raises(ValueError, match=re.escape(f"facet {min(inner)} is contained")):
+            SimplicialComplex(faces)
+    else:
+        assert SimplicialComplex(faces) == k
 
 
 def test_f_vector_examples():

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import pathlib
 
@@ -150,17 +151,37 @@ def test_poset_edge_with_one_vertex_is_not_thin():
         serialize.poset_from_obj(obj)
 
 
-def test_poset_extra_cover_breaks_thinness():
-    # three 2-cells glued along the edge e, each a bigon with a second edge
+def bigons_on_an_edge(n):
+    """n 2-cells glued along the edge e, each a bigon with a second edge."""
+    cells = range(1, n + 1)
     elements = [{"id": i, "dim": 0} for i in ("a", "b")] + [
-        {"id": i, "dim": 1} for i in ("e", "e1", "e2", "e3")
-    ] + [{"id": i, "dim": 2} for i in ("c1", "c2", "c3")]
-    covers = [[v, e] for v in ("a", "b") for e in ("e", "e1", "e2", "e3")]
-    covers += [["e", f"c{i}"] for i in (1, 2, 3)] + [[f"e{i}", f"c{i}"] for i in (1, 2, 3)]
+        {"id": i, "dim": 1} for i in ["e"] + [f"e{i}" for i in cells]
+    ] + [{"id": f"c{i}", "dim": 2} for i in cells]
+    covers = [[v, e["id"]] for v in ("a", "b") for e in elements if e["dim"] == 1]
+    covers += [["e", f"c{i}"] for i in cells] + [[f"e{i}", f"c{i}"] for i in cells]
+    return elements, covers
+
+
+def test_poset_extra_cover_breaks_thinness():
+    elements, covers = bigons_on_an_edge(2)
     serialize.poset_from_obj({"elements": elements, "covers": covers})
     covers.append(["e1", "c2"])
     with pytest.raises(SchemaError, match=r"interval \[a, c2\] has 3 middle elements"):
         serialize.poset_from_obj({"elements": elements, "covers": covers})
+
+
+def test_poset_ridge_under_three_top_cells_is_refused():
+    elements, covers = bigons_on_an_edge(3)
+    with pytest.raises(SchemaError, match="element e lies under 3 top cells, expected 1 or 2"):
+        serialize.poset_from_obj({"elements": elements, "covers": covers})
+    # a rank-2 poset: a vertex in three edges
+    obj = {
+        "elements": [{"id": i, "dim": 0} for i in "abcd"]
+        + [{"id": i, "dim": 1} for i in ("ab", "ac", "ad")],
+        "covers": [[v, e] for e in ("ab", "ac", "ad") for v in e],
+    }
+    with pytest.raises(SchemaError, match="element a lies under 3 top cells"):
+        serialize.poset_from_obj(obj)
 
 
 def test_face_posets_of_corpus_members_are_thin():
@@ -170,3 +191,17 @@ def test_face_posets_of_corpus_members_are_thin():
             restriction = s.restriction_complex(face)
             serialize.poset_from_obj(serialize.poset_to_obj(face_poset(restriction)))
         serialize.poset_from_obj(serialize.poset_to_obj(face_poset(s)))
+
+
+def test_make_fixtures_regenerates_the_shipped_files(tmp_path, monkeypatch):
+    path = FIXTURES.parent / "scripts" / "make_fixtures.py"
+    spec = importlib.util.spec_from_file_location("make_fixtures", path)
+    make_fixtures = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_fixtures)
+    monkeypatch.setattr(make_fixtures, "FIXTURES", tmp_path)
+    make_fixtures.main()
+    shipped = sorted(p.name for p in FIXTURES.glob("*.json"))
+    assert len(shipped) == 14
+    assert sorted(p.name for p in tmp_path.iterdir()) == shipped
+    for name in shipped:
+        assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes(), name

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -272,6 +273,19 @@ def test_carrier_totality_enforced():
         )
 
 
+def test_carrier_faces_are_checked_not_repaired():
+    s = stellar_facet(trivial_on(3))
+    carrier = dict(s.carrier)
+    carrier[("z1", "v1")] = carrier.pop(("v1", "z1"))
+    with pytest.raises(ValueError, match=re.escape("('z1', 'v1')")):
+        Subdivision(s.base, s.total, carrier)
+    for bad in [("v3", "v1"), ["v1", "v3"]]:
+        carrier = dict(s.carrier)
+        carrier[("v1", "z1")] = bad
+        with pytest.raises(ValueError, match=re.escape(f"carrier {bad} of ('v1', 'z1')")):
+            Subdivision(s.base, s.total, carrier)
+
+
 def test_subset_h_matches_restriction_complex():
     s = push_then_stellar(trivial_on(4))
     for k in range(5):
@@ -342,6 +356,8 @@ def oracle_monotone(s):
 def assert_matches_oracles(s):
     for face in s.base.all_faces():
         assert set(s.restriction_members(face)) == oracle_members(s, face)
+        want = SimplicialComplex.from_faces(oracle_members(s, face) | {()})
+        assert s.restriction_complex(face) == want
     for got, want in [
         (s.is_quasi_geometric(), oracle_quasi_geometric(s)),
         (s.is_vertex_induced(), oracle_vertex_induced(s)),
