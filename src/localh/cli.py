@@ -68,8 +68,15 @@ def cmd_compute(args) -> int:
 
 
 def cmd_realize(args) -> int:
+    entries = args.target.split(",")
+    if len(entries) > constructions.MAX_BASE_VERTICES + 1:
+        raise ValueError(
+            f"realize --target: {len(entries)} entries exceed the budget of "
+            f"{constructions.MAX_BASE_VERTICES + 1} (a base of "
+            f"{constructions.MAX_BASE_VERTICES} vertices)"
+        )
     target = []
-    for entry in args.target.split(","):
+    for entry in entries:
         try:
             target.append(int(entry))
         except ValueError:

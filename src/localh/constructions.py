@@ -35,6 +35,11 @@ from .subdivisions import Subdivision
 
 _FRESH_RE = re.compile(r"^[wzmpq](\d+)$")
 
+# Size budget on the base simplex of an op word's seed and of a realize
+# target, checked before any construction, because validating either result
+# visits every subset of the base vertices.
+MAX_BASE_VERTICES = 11
+
 
 class InvalidTargetError(ValueError):
     """Raised when a target vector cannot be a local h-vector."""

@@ -2,9 +2,17 @@
 order complex, flag f/h-vectors, and the ab/cd-index machinery.
 
 A poset is given by elements (id, dimension) and cover relations; the order
-relation is the transitive closure of the covers.  Gradedness is enforced:
-covers must increase dimension and every maximal chain must run through
-consecutive dimensions starting at 0.
+relation is the transitive closure of the covers.  Gradedness is enforced
+locally: every minimal element has dimension 0 and every cover raises
+dimension by exactly 1, so every maximal chain runs through consecutive
+dimensions starting at 0.
+
+There is one route from a poset to its cd-form, and it never builds the
+order complex: chain counts by dynamic programming over the strict upsets,
+the flag h-vector by a Moebius butterfly, the ab-index, and the cd-form by
+an integer Walsh-Hadamard transform into the basis c = a+b, e = a-b.  The
+h-polynomial of the order complex is the ab-index at a = 1, b = x, so the
+ball-minus-boundary h difference is read off the ab-index too.
 
 A raw poset is taken on faith as the face poset of a regular cell complex
 (poset files must also pass the thinness checks in ``serialize``);
@@ -18,8 +26,8 @@ the poset comes from a complex).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .complexes import Face, SimplicialComplex, canonical_face
 from .polynomials import ONE, ZERO, Polynomial
@@ -27,7 +35,7 @@ from .subdivisions import Subdivision
 
 
 class UngradedPosetError(ValueError):
-    """Raised when covers or maximal chains violate gradedness."""
+    """Raised when a cover skips a dimension or a minimal element is not a vertex."""
 
 
 def face_id(face: Face) -> str:
@@ -48,20 +56,26 @@ class FacePoset:
         ids = [e for e, _ in self.elements]
         if len(ids) != len(set(ids)):
             raise ValueError("duplicate element ids")
+        for e, d in self.elements:
+            if d < 0:
+                raise ValueError(f"element {e} has negative dimension")
         dim = dict(self.elements)
         for lo, up in self.covers:
             if lo not in dim or up not in dim:
                 raise ValueError(f"cover ({lo}, {up}) references unknown element")
-            if dim[up] <= dim[lo]:
+            if dim[up] != dim[lo] + 1:
                 raise UngradedPosetError(
-                    f"cover ({lo}, {up}) does not increase dimension"
+                    f"cover ({lo}, {up}) goes from dimension {dim[lo]} to "
+                    f"{dim[up]}, expected {dim[lo] + 1}"
                 )
+        has_lower = {up for _, up in self.covers}
         for e, d in self.elements:
-            if d < 0:
-                raise ValueError(f"element {e} has negative dimension")
+            if d and e not in has_lower:
+                raise UngradedPosetError(
+                    f"minimal element {e} has dimension {d}, expected 0"
+                )
         if self.carrier is not None:
             self.carrier = {e: canonical_face(f) for e, f in self.carrier.items()}
-        self._check_graded()
 
     # -- structure ---------------------------------------------------------
 
@@ -105,16 +119,6 @@ class FacePoset:
                         stack.append(chain + (nxt,))
             self._derived["chains"] = chains
         return self._derived["chains"]
-
-    def _check_graded(self):
-        dims = self.dims
-        for chain in self.maximal_chains():
-            got = [dims[e] for e in chain]
-            if got != list(range(len(chain))):
-                raise UngradedPosetError(
-                    f"maximal chain {chain} has dimensions {got}, "
-                    f"expected consecutive from 0"
-                )
 
     def _above_masks(self) -> tuple[list[str], list[int], list[int]]:
         """Element order, dimension list, and strict-upset bitmask per element."""
@@ -204,42 +208,38 @@ def flag_vectors(p: FacePoset) -> tuple[dict[frozenset, int], dict[frozenset, in
 
     S ranges over subsets of {1..rank}; a chain contributes to the S whose
     members are the chain dimensions plus one.  f of the empty set is 1 (the
-    empty chain).
+    empty chain).  Chains are counted, not listed: ``ends[i]`` maps a
+    dimension mask to the number of chains with top element i, and each
+    element pushes its counts to every element above it, lowest dimension
+    first.
     """
     d = p.rank
     order, dimlist, above = p._above_masks()
-    n = len(order)
-    f_mask: dict[int, int] = {0: 1}
-
-    def visit(i: int, mask: int):
-        f_mask[mask] = f_mask.get(mask, 0) + 1
+    ends: list[dict[int, int]] = [{1 << k: 1} for k in dimlist]
+    f = [0] * (1 << d)
+    f[0] = 1
+    for i, counts in enumerate(ends):
+        for mask, n in counts.items():
+            f[mask] += n
         m = above[i]
         while m:
             j = (m & -m).bit_length() - 1
-            visit(j, mask | (1 << dimlist[j]))
+            bit = 1 << dimlist[j]
+            target = ends[j]
+            for mask, n in counts.items():
+                target[mask | bit] = target.get(mask | bit, 0) + n
             m &= m - 1
-
-    for i in range(n):
-        visit(i, 1 << dimlist[i])
+    h = list(f)
+    for k in range(d):
+        for mask in range(1 << d):
+            if mask >> k & 1:
+                h[mask] -= h[mask ^ (1 << k)]
 
     def to_set(mask: int) -> frozenset:
         return frozenset(k + 1 for k in range(d) if mask & (1 << k))
 
-    h: dict[frozenset, int] = {}
-    all_masks = list(range(1 << d))
-    for sm in all_masks:
-        total = 0
-        sub = sm
-        while True:
-            term = f_mask.get(sub, 0)
-            sign = -1 if (sm.bit_count() - sub.bit_count()) % 2 else 1
-            total += sign * term
-            if sub == 0:
-                break
-            sub = (sub - 1) & sm
-        h[to_set(sm)] = total
-    f_full = {to_set(m): f_mask.get(m, 0) for m in all_masks}
-    return f_full, h
+    sets = [to_set(mask) for mask in range(1 << d)]
+    return dict(zip(sets, f)), dict(zip(sets, h))
 
 
 @dataclass(frozen=True)
@@ -337,7 +337,11 @@ class CdPolynomial:
 
 @dataclass(frozen=True)
 class NotExpressible:
-    """Marker that an ab-polynomial has no cd-form, with a residual witness word."""
+    """Marker that an ab-polynomial has no cd-form.
+
+    The witness ``residual`` is the first c/e-word (c = a+b, e = a-b, in
+    lexicographic order) that has a nonzero coefficient and an odd run of e.
+    """
 
     residual: str
 
@@ -346,18 +350,6 @@ def cd_word_degree(word: str) -> int:
     if set(word) - {"c", "d"}:
         raise ValueError(f"bad cd-word {word!r}")
     return sum(1 if ch == "c" else 2 for ch in word)
-
-
-def cd_words(degree: int) -> list[str]:
-    """All cd-words of the given degree (compositions into parts 1 and 2)."""
-    if degree == 0:
-        return [""]
-    out = []
-    if degree >= 1:
-        out += ["c" + w for w in cd_words(degree - 1)]
-    if degree >= 2:
-        out += ["d" + w for w in cd_words(degree - 2)]
-    return sorted(out)
 
 
 def _expand_cd_word(word: str) -> list[str]:
@@ -382,68 +374,49 @@ def ab_index(p: FacePoset) -> AbPolynomial:
     return AbPolynomial.from_dict(d, coeffs)
 
 
+# the cd-forms of the pieces of a c/e-word whose e-runs are even: ee = cc - 2d
+_CD_FORMS = {"c": (("c", 1),), "ee": (("cc", 1), ("d", -2))}
+
+
 def cd_extract(psi: AbPolynomial) -> CdPolynomial | NotExpressible:
-    """Exact cd-form of an ab-polynomial, or a residual witness if none exists.
+    """Exact cd-form of an ab-polynomial, or a c/e-word witness if none exists.
 
-    Every cd-word of the right degree is expanded into ab-words, the exact
-    linear system is solved over the rationals, and the candidate must be
-    integral and reproduce the input exactly (the round trip is the gate;
-    failures return the first mismatching ab-word).
+    With a = (c+e)/2 and b = (c-e)/2, the coefficient of a c/e-word u in
+    2^n psi is the sum over ab-words w of psi_w (-1)^(positions where w has b
+    and u has e): an integer Walsh-Hadamard transform, in n 2^n steps.  As
+    d = ab+ba = (c^2 - e^2)/2, psi has a cd-form exactly when every c/e-word
+    with a nonzero coefficient splits into c and ee, and the cd-form follows
+    by ee = cc - 2d.  The last division by 2^n is exact: the expansions of the
+    cd-words have a unimodular minor (c -> a, d -> ba), so a cd-form of an
+    integral psi is integral.
     """
-    degree = psi.degree
-    words = cd_words(degree)
-    ab_words = sorted({w for cw in words for w in _expand_cd_word(cw)} | set(psi.as_dict()))
-    row_index = {w: i for i, w in enumerate(ab_words)}
-    # columns: cd-words; rows: ab-words
-    matrix = [[Fraction(0)] * len(words) for _ in ab_words]
-    for j, cw in enumerate(words):
-        for w in _expand_cd_word(cw):
-            matrix[row_index[w]][j] += 1
-    rhs = [Fraction(0)] * len(ab_words)
+    n = psi.degree
+    size = 1 << n
+    # bit n-1-i of an index is letter i of a word (b or e), so index order
+    # is lexicographic word order
+    v = [0] * size
     for w, c in psi.coeffs:
-        rhs[row_index[w]] = Fraction(c)
-
-    solution = _solve_from_pivots(matrix, rhs)
-    if any(value.denominator != 1 for value in solution):
-        return NotExpressible(psi.coeffs[0][0] if psi.coeffs else "")
-    candidate = CdPolynomial.from_dict(
-        degree, {cw: int(v) for cw, v in zip(words, solution) if v}
-    )
-    if candidate.expand_ab() != psi:
-        diff = candidate.expand_ab() - psi
-        return NotExpressible(diff.coeffs[0][0] if diff.coeffs else "")
-    return candidate
-
-
-def _solve_from_pivots(
-    matrix: list[list[Fraction]], rhs: list[Fraction]
-) -> list[Fraction]:
-    """Gaussian elimination over the rationals; the candidate read off the
-    pivot rows, ignoring inconsistent leftover rows (callers verify)."""
-    rows = len(matrix)
-    cols = len(matrix[0]) if matrix else 0
-    aug = [list(matrix[i]) + [rhs[i]] for i in range(rows)]
-    pivot_cols = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if aug[i][c] != 0), None)
-        if pivot is None:
+        v[sum(1 << (n - 1 - i) for i, x in enumerate(w) if x == "b")] = c
+    half = 1
+    while half < size:
+        for i in range(size):
+            if not i & half:
+                v[i], v[i | half] = v[i] + v[i | half], v[i] - v[i | half]
+        half <<= 1
+    out: dict[str, int] = {}
+    for u, value in enumerate(v):
+        if not value:
             continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = Fraction(1) / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c] != 0:
-                factor = aug[i][c]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-    solution = [Fraction(0)] * cols
-    for i, c in enumerate(pivot_cols):
-        solution[c] = aug[i][cols]
-    return solution
+        word = "".join("e" if u >> (n - 1 - i) & 1 else "c" for i in range(n))
+        pieces = re.findall("ee|[ce]", word)
+        if "e" in pieces:
+            return NotExpressible(word)
+        terms = [("", value)]
+        for piece in pieces:
+            terms = [(w + x, k * m) for w, k in terms for x, m in _CD_FORMS[piece]]
+        for w, k in terms:
+            out[w] = out.get(w, 0) + k
+    return CdPolynomial.from_dict(n, {w: k // size for w, k in out.items()})
 
 
 # -- boundary and the ball difference -----------------------------------------
@@ -487,13 +460,11 @@ def boundary_poset(p: FacePoset) -> FacePoset | None:
 
 @dataclass(frozen=True)
 class BallDifference:
-    """ab-difference of a ball poset against its boundary, with cd-form and
-    the independently computed h-polynomial difference of the order complexes;
+    """ab-difference of a ball poset against its boundary, with its cd-form;
     ab_index is the ball's own ab-index."""
 
     ab: AbPolynomial
     cd: CdPolynomial | NotExpressible
-    difference: Polynomial
     closed: bool
     ab_index: AbPolynomial
 
@@ -501,19 +472,23 @@ class BallDifference:
     def degree(self) -> int:
         return self.ab.degree
 
+    @property
+    def difference(self) -> Polynomial:
+        """h(order complex) minus h(its boundary): the ab-difference at a = 1."""
+        return self.ab.at_a_equals_one()
+
 
 def ek_difference(source: FacePoset | SimplicialComplex) -> BallDifference:
     """ab-index of a ball minus the a-padded ab-index of its boundary.
 
     The caller asserts the input is (the face poset of) a ball; closed input
     is accepted with a zero boundary index, which makes the difference the
-    plain ab-index.  The returned polynomial difference is recomputed from
-    the order complex and its simplicial boundary, independent of the flag
-    route.
+    plain ab-index.  Everything comes from flag vectors: the order complex
+    is never built, so a poset that is not a pseudomanifold is not refused
+    here (``serialize`` refuses it for poset files).
     """
     p = face_poset(source) if isinstance(source, SimplicialComplex) else source
-    d = p.rank
-    if d == 0:
+    if p.rank == 0:
         raise ValueError("rank-zero poset")
     psi = ab_index(p)
     bp = boundary_poset(p)
@@ -522,9 +497,4 @@ def ek_difference(source: FacePoset | SimplicialComplex) -> BallDifference:
         diff_ab = psi
     else:
         diff_ab = psi - ab_index(bp).times_a()
-    cd = cd_extract(diff_ab)
-    order = sd_complex(p)
-    h_top = order.h_polynomial()
-    rim = order.boundary()
-    h_rim = ZERO if rim.is_void else rim.h_polynomial()
-    return BallDifference(diff_ab, cd, h_top - h_rim, closed, psi)
+    return BallDifference(diff_ab, cd_extract(diff_ab), closed, psi)

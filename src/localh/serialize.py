@@ -13,7 +13,7 @@ from collections import Counter
 from typing import Any
 
 from .complexes import SimplicialComplex, canonical_face
-from .constructions import OpStep, OpWord
+from .constructions import MAX_BASE_VERTICES, OpStep, OpWord
 from .posets import FacePoset
 from .subdivisions import Subdivision
 
@@ -240,6 +240,11 @@ def opword_from_obj(obj: Any) -> OpWord:
     _require_keys(obj, {"seed_vertices", "steps"}, set(), "opword")
     if not isinstance(obj["seed_vertices"], int) or obj["seed_vertices"] < 1:
         raise SchemaError("opword.seed_vertices: expected a positive integer")
+    if obj["seed_vertices"] > MAX_BASE_VERTICES:
+        raise SchemaError(
+            f"opword.seed_vertices: {obj['seed_vertices']} exceeds the budget "
+            f"of {MAX_BASE_VERTICES} base vertices"
+        )
     if not isinstance(obj["steps"], list):
         raise SchemaError("opword.steps: expected an array")
     steps = []

@@ -20,8 +20,8 @@ from localh.identities import (
     local_h_via_boundary_recursion,
     local_h_via_derangements,
 )
-from localh.polynomials import Polynomial
-from localh.posets import CdPolynomial, ek_difference, sd_subdivision
+from localh.polynomials import ZERO, Polynomial
+from localh.posets import CdPolynomial, ek_difference, face_poset, sd_complex, sd_subdivision
 
 CORPUS_SEEDS = range(100)
 CORPUS_MAX_D = 5
@@ -68,6 +68,14 @@ def _boundary_formula_failures(s) -> list[str]:
     return out
 
 
+def _order_complex_difference(restriction) -> Polynomial:
+    """h(sd Gamma_F) - h(its boundary), from the order complex itself, so the
+    flag route in ``ek_difference`` is checked against an independent value."""
+    order = sd_complex(face_poset(restriction))
+    rim = order.boundary()
+    return order.h_polynomial() - (ZERO if rim.is_void else rim.h_polynomial())
+
+
 def _ek_failures(s, cache: dict) -> list[str]:
     out = []
     x = Polynomial([0, 1])
@@ -77,20 +85,20 @@ def _ek_failures(s, cache: dict) -> list[str]:
         for face in combinations(verts, k):
             restriction = s.restriction_complex(face)
             key = restriction.facets
-            if key in cache:
-                result = cache[key]
-            else:
-                result = ek_difference(restriction)
-                cache[key] = result
-            coeffs = result.difference.padded(k)
+            if key not in cache:
+                cache[key] = (ek_difference(restriction), _order_complex_difference(restriction))
+            result, difference = cache[key]
+            coeffs = difference.padded(k)
             if coeffs != tuple(reversed(coeffs)):
                 out.append(f"cd difference not symmetric at {face}")
+            if result.difference != difference:
+                out.append(f"flag-route difference mismatch at {face}")
             if not isinstance(result.cd, CdPolynomial):
                 out.append(f"cd not expressible at {face}: {result.cd.residual}")
                 continue
             if not result.cd.is_nonnegative:
                 out.append(f"cd has a negative coefficient at {face}")
-            if result.cd.evaluate(one_plus_x, 2 * x) != result.difference:
+            if result.cd.evaluate(one_plus_x, 2 * x) != difference:
                 out.append(f"cd evaluation mismatch at {face}")
     return out
 

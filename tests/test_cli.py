@@ -6,8 +6,10 @@ import pytest
 
 from localh import serialize
 from localh.cli import main
-from localh.constructions import trivial_on
+from localh.complexes import simplex
+from localh.constructions import MAX_BASE_VERTICES, InvalidTargetError, trivial_on
 from localh.permstats import derangement_enum
+from localh.posets import face_poset
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -22,8 +24,10 @@ def run(capsys, *argv):
 # search thread pool, the duplicate subset/f->h/gamma-basis loops and the
 # sweep script were removed.  The entries for double_push (a quasi-geometric
 # witness), the two-triangle base and the two broken carrier maps were
-# recorded before carrier queries moved to base-vertex bitmasks.  A refactor
-# must keep every one byte-identical.
+# recorded before carrier queries moved to base-vertex bitmasks.  The cdindex
+# entries for the simplex on 5, 6 and 7 vertices were recorded before the
+# cd-form moved to the c/e transform and the chain counts to a DP.  A
+# refactor must keep every one byte-identical.
 GOLDEN = [
     (("compute", "bary_stellar_triangle.json"), 0,
      "83f57cd08d765919311696242697cceae19cf76cc8adc3ad3e61efde3f849ccb"),
@@ -78,14 +82,33 @@ GOLDEN = [
     (("search", "--seed", "0", "--count", "12", "--max-d", "5", "--steps", "6",
       "--include-sd"), 0,
      "8f626a02d679bda082d0b297a49cb70b0c20de73379d12f284860a11b4bf2dbc"),
+    (("cdindex", "simplex5_poset.json"), 0,
+     "5e2502d7f234b2b5802b10067ce2f949f48909801b11ea39ab5872726ec4e2b3"),
+    (("cdindex", "simplex6_poset.json"), 0,
+     "e6ec8471ef3b81f32cc0202f8432934457ed8accd3cc5564d48ea02a1d677cc2"),
+    (("cdindex", "simplex7_poset.json"), 0,
+     "039640cfe87619cdf8ceb5622d640e90a0ac0089a19c077c2d6c8c8c1e8d42cb"),
 ]
+
+# Inputs the golden table names that are not shipped: the face poset of the
+# simplex on n vertices, written to the test's temporary directory.
+SIMPLEX_POSETS = {f"simplex{n}_poset.json": n for n in (5, 6, 7)}
+
+
+def golden_path(name, tmp_path):
+    if name not in SIMPLEX_POSETS:
+        return str(FIXTURES / name)
+    p = face_poset(simplex(f"v{i}" for i in range(1, SIMPLEX_POSETS[name] + 1)))
+    path = tmp_path / name
+    path.write_text(json.dumps(serialize.poset_to_obj(p)))
+    return str(path)
 
 
 @pytest.mark.parametrize(
     "argv, want_code, want_digest", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN]
 )
-def test_golden_output(capsys, argv, want_code, want_digest):
-    argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
+def test_golden_output(tmp_path, capsys, argv, want_code, want_digest):
+    argv = [golden_path(a, tmp_path) if a.endswith(".json") else a for a in argv]
     code, out, _ = run(capsys, *argv)
     assert code == want_code
     assert hashlib.sha256(out.encode()).hexdigest() == want_digest
@@ -142,6 +165,49 @@ def test_realize_target_entry_not_an_integer(capsys):
     assert code == 2
     assert "realize --target: 'x' is not an integer" in err
     assert "invalid literal" not in err
+
+
+def test_realize_refuses_a_target_over_the_base_vertex_budget(monkeypatch, capsys):
+    started = []
+
+    def stub(target):
+        started.append(len(target))
+        raise InvalidTargetError("stub")
+
+    monkeypatch.setattr("localh.constructions.realize_local_h", stub)
+    target = ",".join(["0"] + ["1"] * MAX_BASE_VERTICES + ["0"])
+    code, out, err = run(capsys, "realize", "--target", target)
+    assert code == 2
+    assert out == ""
+    assert (
+        f"realize --target: {MAX_BASE_VERTICES + 2} entries exceed the budget of "
+        f"{MAX_BASE_VERTICES + 1}" in err
+    )
+    assert started == []
+    # the 12-entry all-ones target (a base of 11 vertices) is within budget
+    code, _, err = run(capsys, "realize", "--target", "0" + ",1" * 10 + ",0")
+    assert started == [12]
+    assert "invalid target: stub" in err
+
+
+def test_replay_refuses_seed_vertices_over_the_base_vertex_budget(tmp_path, monkeypatch, capsys):
+    def refuse(word):
+        raise AssertionError("construction started")
+
+    monkeypatch.setattr("localh.constructions.replay", refuse)
+    word_file = tmp_path / "word.json"
+    word_file.write_text(json.dumps({
+        "format": "localh/1",
+        "seed_vertices": MAX_BASE_VERTICES + 1,
+        "steps": [],
+    }))
+    code, out, err = run(capsys, "replay", str(word_file))
+    assert code == 2
+    assert out == ""
+    assert (
+        f"opword.seed_vertices: {MAX_BASE_VERTICES + 1} exceeds the budget of "
+        f"{MAX_BASE_VERTICES} base vertices" in err
+    )
 
 
 def test_cdindex_refuses_a_monogon(tmp_path, capsys):

@@ -1,7 +1,14 @@
-import pytest
+import math
+import pathlib
+from fractions import Fraction
+from itertools import combinations
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from localh import serialize
 from localh.complexes import SimplicialComplex, simplex
-from localh.constructions import stellar_facet, trivial_on
+from localh.constructions import random_subdivision, stellar_facet, trivial_on
 from localh.polynomials import ZERO, Polynomial, gamma_extract
 from localh.posets import (
     AbPolynomial,
@@ -12,13 +19,15 @@ from localh.posets import (
     ab_index,
     boundary_poset,
     cd_extract,
-    cd_words,
+    cd_word_degree,
     ek_difference,
     face_poset,
     flag_vectors,
     sd_complex,
     sd_subdivision,
 )
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 HEXAGON = SimplicialComplex(
     [("1", "2"), ("2", "3"), ("3", "4"), ("4", "5"), ("5", "6"), ("1", "6")]
@@ -57,10 +66,59 @@ def test_face_poset_counts():
 
 
 def test_gradedness_enforced():
-    with pytest.raises(UngradedPosetError):
+    with pytest.raises(UngradedPosetError, match=r"cover \(a, b\) goes from dimension 0 to 2"):
         FacePoset((("a", 0), ("b", 2)), (("a", "b"),))
-    with pytest.raises(UngradedPosetError):
+    with pytest.raises(UngradedPosetError, match="minimal element a has dimension 1"):
         FacePoset((("a", 1),), ())  # maximal chain does not start at dimension 0
+
+
+def chain_walk_is_graded(elements, covers):
+    """Gradedness by walking every maximal chain from a minimal element."""
+    dims = dict(elements)
+    if any(dims[up] <= dims[lo] for lo, up in covers):
+        return False
+    up = {e: sorted(hi for lo, hi in covers if lo == e) for e in dims}
+    has_lower = {hi for _, hi in covers}
+    stack = [(e,) for e in dims if e not in has_lower]
+    while stack:
+        chain = stack.pop()
+        if not up[chain[-1]]:
+            if [dims[e] for e in chain] != list(range(len(chain))):
+                return False
+        stack.extend(chain + (nxt,) for nxt in up[chain[-1]])
+    return True
+
+
+@st.composite
+def cover_sets(draw):
+    """Elements on consecutive levels 0..3 joined by covers between
+    neighbouring levels, where an element sometimes gets no cover from below
+    and sometimes one cover skips or repeats a level: about half the draws
+    are graded."""
+    dims = [0]
+    for step in draw(st.lists(st.integers(0, 1), max_size=6)):
+        dims.append(min(dims[-1] + step, 3))
+    elements = tuple((f"x{i}", d) for i, d in enumerate(dims))
+    covers = set()
+    for b, db in elements:
+        below = [a for a, da in elements if da == db - 1]
+        if below and draw(st.integers(0, 9)):
+            lower = draw(st.lists(st.sampled_from(below), min_size=1, max_size=2))
+            covers.update((a, b) for a in lower)
+    jumps = [(a, b) for a, da in elements for b, db in elements if a != b and db != da + 1]
+    if jumps and not draw(st.integers(0, 3)):
+        covers.add(draw(st.sampled_from(jumps)))
+    return elements, tuple(sorted(covers))
+
+
+@given(cover_sets())
+def test_local_gradedness_check_matches_the_chain_walk(poset):
+    elements, covers = poset
+    if chain_walk_is_graded(elements, covers):
+        FacePoset(elements, covers)
+    else:
+        with pytest.raises(UngradedPosetError):
+            FacePoset(elements, covers)
 
 
 def test_sd_examples():
@@ -127,6 +185,116 @@ def test_flag_sums_give_sd_h():
             assert total == sd_h[i]
 
 
+def walk_flag_vectors(p):
+    """Flag f and h by visiting every chain, and h by a 3^n submask sum."""
+    d = p.rank
+    order, dimlist, above = p._above_masks()
+    f_mask = {0: 1}
+
+    def visit(i, mask):
+        f_mask[mask] = f_mask.get(mask, 0) + 1
+        m = above[i]
+        while m:
+            j = (m & -m).bit_length() - 1
+            visit(j, mask | (1 << dimlist[j]))
+            m &= m - 1
+
+    for i in range(len(order)):
+        visit(i, 1 << dimlist[i])
+
+    def to_set(mask):
+        return frozenset(k + 1 for k in range(d) if mask & (1 << k))
+
+    h = {}
+    for sm in range(1 << d):
+        total = 0
+        sub = sm
+        while True:
+            sign = -1 if (sm.bit_count() - sub.bit_count()) % 2 else 1
+            total += sign * f_mask.get(sub, 0)
+            if sub == 0:
+                break
+            sub = (sub - 1) & sm
+        h[to_set(sm)] = total
+    return {to_set(m): f_mask.get(m, 0) for m in range(1 << d)}, h
+
+
+def simplicial_flag_f(k: SimplicialComplex) -> dict[frozenset, int]:
+    """Flag f of a simplicial complex's face poset in closed form: a chain
+    with dimensions s_1 < ... < s_j ending at a face of dimension s_j is an
+    ordered partition of that face's vertices into blocks of sizes
+    s_1 + 1, s_2 - s_1, ..., s_j - s_(j-1)."""
+    fv = k.f_vector()
+    d = len(fv) - 1
+    out = {}
+    for mask in range(1 << d):
+        dims = [i for i in range(d) if mask >> i & 1]
+        count = fv[dims[-1] + 1] * math.factorial(dims[-1] + 1) if dims else 1
+        for lo, hi in zip([-1, *dims], dims):
+            count //= math.factorial(hi - lo)
+        out[frozenset(i + 1 for i in dims)] = count
+    return out
+
+
+def order_complex_difference(p: FacePoset) -> Polynomial:
+    """h of the order complex minus h of its simplicial boundary."""
+    order = sd_complex(p)
+    rim = order.boundary()
+    return order.h_polynomial() - (ZERO if rim.is_void else rim.h_polynomial())
+
+
+def fixture_posets():
+    return [
+        serialize.poset_from_obj(serialize.load_json(str(path)))
+        for path in sorted(FIXTURES.glob("*_poset.json"))
+    ]
+
+
+def sd_simplex_poset(d: int) -> FacePoset:
+    return face_poset(sd_subdivision(trivial_on(d)).total)
+
+
+@st.composite
+def corpus_restrictions(draw):
+    """The face poset of a restriction of a corpus member to a base face
+    with at most four vertices."""
+    seed = draw(st.integers(0, 99))
+    s, _ = random_subdivision(seed, 5, seed % 7)
+    k = draw(st.integers(1, min(len(s.base.vertices), 4)))
+    face = draw(st.sampled_from(list(combinations(s.base.vertices, k))))
+    return face_poset(s.restriction_complex(face))
+
+
+def test_flag_vectors_match_the_chain_walk_on_fixtures_and_sd_simplices():
+    posets = [face_poset(HEXAGON), face_poset(PATH2), SQUARE_CELL, *fixture_posets()]
+    posets += [sd_simplex_poset(d) for d in range(1, 6)]
+    for p in posets:
+        assert flag_vectors(p) == walk_flag_vectors(p)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_flag_f_of_sd_simplex_matches_the_closed_form(d):
+    total = sd_subdivision(trivial_on(d)).total
+    f, h = flag_vectors(face_poset(total))
+    assert f == simplicial_flag_f(total)
+    assert sum(h.values()) == f[frozenset(range(1, d + 1))]
+
+
+@settings(max_examples=50, deadline=None)
+@given(corpus_restrictions())
+def test_flag_route_matches_the_chain_walk_and_order_complex_on_restrictions(p):
+    assert flag_vectors(p) == walk_flag_vectors(p)
+    assert ek_difference(p).difference == order_complex_difference(p)
+
+
+def test_ek_difference_matches_the_order_complex_on_fixtures_and_simplices():
+    posets = [face_poset(HEXAGON), face_poset(PATH2), SQUARE_CELL, *fixture_posets()]
+    posets += [sd_simplex_poset(d) for d in range(1, 5)]
+    posets += [face_poset(simplex("abcdef"[:n])) for n in range(1, 7)]
+    for p in posets:
+        assert ek_difference(p).difference == order_complex_difference(p)
+
+
 def test_ab_index_examples():
     assert dict(ab_index(face_poset(HEXAGON)).coeffs) == {
         "aa": 1, "ab": 5, "ba": 5, "bb": 1,
@@ -140,10 +308,117 @@ def test_ab_substitution_gives_sd_h():
         assert psi.at_a_equals_one() == sd_complex(poset).h_polynomial()
 
 
+def cd_words(degree: int) -> list[str]:
+    """All cd-words of the given degree (compositions into parts 1 and 2)."""
+    if degree == 0:
+        return [""]
+    out = []
+    if degree >= 1:
+        out += ["c" + w for w in cd_words(degree - 1)]
+    if degree >= 2:
+        out += ["d" + w for w in cd_words(degree - 2)]
+    return sorted(out)
+
+
+def expand_cd_word(word: str) -> list[str]:
+    return list(CdPolynomial.from_dict(cd_word_degree(word), {word: 1}).expand_ab().as_dict())
+
+
+def gaussian_cd_extract(psi: AbPolynomial) -> CdPolynomial | None:
+    """cd-form by Gaussian elimination over the rationals on the 2^n x Fib(n+1)
+    system of cd-word expansions; None when there is none."""
+    words = cd_words(psi.degree)
+    ab_words = sorted({w for cw in words for w in expand_cd_word(cw)} | set(psi.as_dict()))
+    row_index = {w: i for i, w in enumerate(ab_words)}
+    aug = [[Fraction(0)] * (len(words) + 1) for _ in ab_words]
+    for j, cw in enumerate(words):
+        for w in expand_cd_word(cw):
+            aug[row_index[w]][j] += 1
+    for w, c in psi.coeffs:
+        aug[row_index[w]][-1] = Fraction(c)
+    pivot_cols = []
+    r = 0
+    for c in range(len(words)):
+        pivot = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        aug[r] = [x / aug[r][c] for x in aug[r]]
+        for i in range(len(aug)):
+            if i != r and aug[i][c] != 0:
+                factor = aug[i][c]
+                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[r])]
+        pivot_cols.append(c)
+        r += 1
+    solution = dict.fromkeys(words, Fraction(0))
+    for i, c in enumerate(pivot_cols):
+        solution[words[c]] = aug[i][-1]
+    if any(v.denominator != 1 for v in solution.values()):
+        return None
+    candidate = CdPolynomial.from_dict(psi.degree, {w: int(v) for w, v in solution.items()})
+    return candidate if candidate.expand_ab() == psi else None
+
+
+def ce_coefficient(psi: AbPolynomial, word: str) -> int:
+    """Coefficient of a c/e-word in 2^n psi, from a = (c+e)/2, b = (c-e)/2."""
+    return sum(
+        c * (-1) ** sum(x == "b" and y == "e" for x, y in zip(w, word))
+        for w, c in psi.coeffs
+    )
+
+
+def has_odd_e_run(word: str) -> bool:
+    return any(len(run) % 2 for run in word.split("c"))
+
+
 def test_cd_words():
     assert cd_words(0) == [""]
     assert cd_words(2) == ["cc", "d"]
     assert len(cd_words(6)) == 13  # Fibonacci growth
+
+
+@st.composite
+def cd_polynomials(draw, max_degree=7):
+    degree = draw(st.integers(0, max_degree))
+    coeffs = draw(st.dictionaries(st.sampled_from(cd_words(degree)), st.integers(-9, 9)))
+    return CdPolynomial.from_dict(degree, coeffs)
+
+
+@st.composite
+def ab_polynomials(draw, max_degree=7):
+    """A cd-polynomial's expansion plus a few random ab-words, which usually
+    leaves no cd-form."""
+    cd = draw(cd_polynomials(max_degree))
+    words = st.text("ab", min_size=cd.degree, max_size=cd.degree)
+    noise = draw(st.dictionaries(words, st.integers(-9, 9), max_size=3))
+    return cd.expand_ab() - AbPolynomial.from_dict(cd.degree, noise)
+
+
+@settings(deadline=None)
+@given(cd_polynomials())
+def test_cd_extract_recovers_every_cd_polynomial(cd):
+    psi = cd.expand_ab()
+    assert cd_extract(psi) == cd == gaussian_cd_extract(psi)
+
+
+@settings(deadline=None)
+@given(ab_polynomials())
+def test_cd_extract_matches_gaussian_elimination(psi):
+    got = cd_extract(psi)
+    want = gaussian_cd_extract(psi)
+    if want is not None:
+        assert got == want
+        return
+    assert isinstance(got, NotExpressible)
+    witness = got.residual
+    assert len(witness) == psi.degree and set(witness) <= {"c", "e"}
+    assert has_odd_e_run(witness) and ce_coefficient(psi, witness) != 0
+    n = psi.degree
+    for u in range(1 << n):
+        word = "".join("ce"[u >> (n - 1 - i) & 1] for i in range(n))
+        if word == witness:
+            break
+        assert not has_odd_e_run(word) or ce_coefficient(psi, word) == 0
 
 
 def test_cd_extract_hexagon():
@@ -161,9 +436,13 @@ def test_cd_extract_difference_at_degree_two():
 
 
 def test_cd_extract_not_expressible():
-    result = cd_extract(AbPolynomial.from_dict(2, {"ab": 1, "ba": -1}))
+    # ab - ba = ((c+e)(c-e) - (c-e)(c+e))/4 = (ec - ce)/2
+    psi = AbPolynomial.from_dict(2, {"ab": 1, "ba": -1})
+    result = cd_extract(psi)
     assert isinstance(result, NotExpressible)
-    assert result.residual in {"ab", "ba"}
+    assert result.residual == "ce"
+    assert has_odd_e_run(result.residual)
+    assert ce_coefficient(psi, result.residual) == -2
 
 
 def test_ek_difference_path():
@@ -223,7 +502,8 @@ def test_ek_difference_carries_the_ab_index():
 def test_ek_difference_ab_substitution_consistency():
     for source in [PATH2, simplex("ab"), SQUARE_CELL]:
         result = ek_difference(source)
-        assert result.ab.at_a_equals_one() == result.difference
+        p = source if isinstance(source, FacePoset) else face_poset(source)
+        assert result.ab.at_a_equals_one() == result.difference == order_complex_difference(p)
 
 
 def test_cd_gamma_relation():
