@@ -3,7 +3,8 @@ boundaries, and reduced homology over the two-element field.
 
 A face is a tuple of vertex labels in sorted order; a complex is stored by
 its facets and its downward closure, which one routine (``_closure``) builds
-once, at construction.
+once, at construction.  The order complex of a poset is the exception: its
+chain DP makes every face once, and hands the closure in as it is.
 Two degenerate complexes are distinguished: the void complex has no faces at
 all, while the empty complex consists of the single face ().
 """
@@ -62,7 +63,7 @@ def gf2_rank(rows: list[int], pivots: dict[int, int] | None = None) -> int:
     return len(pivots)
 
 
-def _closure(faces: Iterable[Face]) -> tuple[list[Face], dict[int, frozenset[Face]]]:
+def _closure(faces: Iterable[Face]) -> tuple[list[Face], dict[int, set[Face]]]:
     """Maximal members and downward closure, by dimension, of canonical faces.
 
     Faces are walked largest first, and one is kept only if the closure of
@@ -76,7 +77,7 @@ def _closure(faces: Iterable[Face]) -> tuple[list[Face], dict[int, frozenset[Fac
         kept.append(f)
         for k in range(len(f) + 1):
             table.setdefault(k - 1, set()).update(combinations(f, k))
-    return kept, {d: frozenset(fs) for d, fs in table.items()}
+    return kept, table
 
 
 class SimplicialComplex:
@@ -91,7 +92,7 @@ class SimplicialComplex:
             inner = min(canon.difference(kept))
             raise ValueError(f"facet {inner} is contained in a larger facet")
         object.__setattr__(self, "facets", frozenset(kept))
-        object.__setattr__(self, "_by_dim", by_dim)
+        object.__setattr__(self, "_by_dim", {d: frozenset(fs) for d, fs in by_dim.items()})
 
     def __setattr__(self, name, value):
         raise AttributeError("SimplicialComplex is immutable")
@@ -102,12 +103,16 @@ class SimplicialComplex:
         return cls._generated_by({canonical_face(f) for f in faces})
 
     @classmethod
-    def _generated_by(cls, faces: Iterable[Face]) -> "SimplicialComplex":
-        """The complex generated by faces that are already canonical."""
-        kept, by_dim = _closure(faces)
+    def _generated_by(
+        cls, faces: Iterable[Face], by_dim: dict[int, set[Face]] | None = None
+    ) -> "SimplicialComplex":
+        """The complex generated by faces that are already canonical.  Given
+        their closure by dimension, the faces are trusted to be the facets."""
+        if by_dim is None:
+            faces, by_dim = _closure(faces)
         k = object.__new__(cls)
-        object.__setattr__(k, "facets", frozenset(kept))
-        object.__setattr__(k, "_by_dim", by_dim)
+        object.__setattr__(k, "facets", frozenset(faces))
+        object.__setattr__(k, "_by_dim", {d: frozenset(fs) for d, fs in by_dim.items()})
         return k
 
     # -- basic structure -------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import os
 from functools import lru_cache
+from itertools import permutations
 
 from .polynomials import ONE, Polynomial, geometric_block
 
@@ -52,35 +53,12 @@ def _check_bound(d: int):
         )
 
 
-def permutations_lex(n: int):
-    """Yield the permutations of 1..n in lexicographic order.
-
-    Uses the in-place successor algorithm: find the longest descending
-    suffix, swap its predecessor with the smallest larger suffix entry,
-    reverse the suffix.
-    """
-    perm = list(range(1, n + 1))
-    yield tuple(perm)
-    while True:
-        i = n - 2
-        while i >= 0 and perm[i] >= perm[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = n - 1
-        while perm[j] <= perm[i]:
-            j -= 1
-        perm[i], perm[j] = perm[j], perm[i]
-        perm[i + 1 :] = reversed(perm[i + 1 :])
-        yield tuple(perm)
-
-
 @lru_cache(maxsize=None)
 def eulerian_polynomial(d: int) -> Polynomial:
     """Descent-count generating polynomial over all permutations of 1..d."""
     _check_bound(d)
     counts = [0] * max(d, 1)
-    for perm in permutations_lex(d):
+    for perm in permutations(range(1, d + 1)):
         descents = sum(1 for k in range(d - 1) if perm[k] > perm[k + 1])
         counts[descents] += 1
     total = sum(counts)
@@ -95,7 +73,7 @@ def derangement_enum(d: int) -> Polynomial:
     if d == 0:
         return ONE
     counts = [0] * (d + 1)
-    for perm in permutations_lex(d):
+    for perm in permutations(range(1, d + 1)):
         if any(perm[i] == i + 1 for i in range(d)):
             continue
         exc = sum(1 for i in range(d) if perm[i] > i + 1)

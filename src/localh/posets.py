@@ -7,6 +7,11 @@ locally: every minimal element has dimension 0 and every cover raises
 dimension by exactly 1, so every maximal chain runs through consecutive
 dimensions starting at 0.
 
+There is one route from a poset to its order complex, a chain DP over the
+dimension-sorted elements: an element tops itself and, with its label
+inserted, each chain ending below it.  So every face is made once with its
+top known, and barycentric subdivision reads its carrier off that top.
+
 There is one route from a poset to its cd-form, and it never builds the
 order complex: chain counts by dynamic programming over the strict upsets,
 the flag h-vector by a Moebius butterfly, the ab-index, and the cd-form by
@@ -27,9 +32,11 @@ the poset comes from a complex).
 from __future__ import annotations
 
 import re
+from bisect import bisect
 from dataclasses import dataclass, field
+from itertools import repeat
 
-from .complexes import Face, SimplicialComplex, canonical_face
+from .complexes import Face, SimplicialComplex, canonical_face, simplex
 from .polynomials import ONE, ZERO, Polynomial
 from .subdivisions import Subdivision
 
@@ -92,51 +99,21 @@ class FacePoset:
             return 0
         return max(d for _, d in self.elements) + 1
 
-    def _up(self) -> dict[str, list[str]]:
-        if "up" not in self._derived:
-            up: dict[str, list[str]] = {e: [] for e, _ in self.elements}
-            for lo, hi in self.covers:
-                up[lo].append(hi)
-            for lst in up.values():
-                lst.sort()
-            self._derived["up"] = up
-        return self._derived["up"]
-
-    def maximal_chains(self) -> list[tuple[str, ...]]:
-        if "chains" not in self._derived:
-            up = self._up()
-            has_lower = {hi for _, hi in self.covers}
-            minimal = sorted(e for e, _ in self.elements if e not in has_lower)
-            chains: list[tuple[str, ...]] = []
-            stack = [(e,) for e in reversed(minimal)]
-            while stack:
-                chain = stack.pop()
-                ups = up[chain[-1]]
-                if not ups:
-                    chains.append(chain)
-                else:
-                    for nxt in reversed(ups):
-                        stack.append(chain + (nxt,))
-            self._derived["chains"] = chains
-        return self._derived["chains"]
-
     def _above_masks(self) -> tuple[list[str], list[int], list[int]]:
-        """Element order, dimension list, and strict-upset bitmask per element."""
+        """Element order, dimension list, and strict-upset bitmask per element.
+
+        Covers are read from the top dimension down, so the upset of the
+        upper element is complete when it is added to the lower one's.
+        """
         if "above" not in self._derived:
-            order = sorted(
-                (e for e, _ in self.elements), key=lambda e: (self.dims[e], e)
-            )
+            dims = self.dims
+            order = sorted((e for e, _ in self.elements), key=lambda e: (dims[e], e))
             index = {e: i for i, e in enumerate(order)}
-            dimlist = [self.dims[e] for e in order]
-            up = self._up()
             masks = [0] * len(order)
-            for e in sorted(order, key=lambda e: -self.dims[e]):
-                m = 0
-                for nxt in up[e]:
-                    j = index[nxt]
-                    m |= (1 << j) | masks[j]
-                masks[index[e]] = m
-            self._derived["above"] = (order, dimlist, masks)
+            for lo, hi in sorted(self.covers, key=lambda c: -dims[c[0]]):
+                j = index[hi]
+                masks[index[lo]] |= (1 << j) | masks[j]
+            self._derived["above"] = (order, [dims[e] for e in order], masks)
         return self._derived["above"]
 
 
@@ -165,11 +142,45 @@ def face_poset(source: SimplicialComplex | Subdivision) -> FacePoset:
     return FacePoset(elements, tuple(sorted(covers)), carrier_map, base)
 
 
+def _order_complex(p: FacePoset, carrier: dict | None = None) -> tuple[SimplicialComplex, dict]:
+    """Order complex of p and, given element carriers, each chain's carrier.
+
+    Elements come in the dimension order of ``_above_masks``, so the chains
+    ending below an element are complete when it is reached; they are pushed
+    to every element above it and released.  By gradedness, the chains of
+    dim + 1 elements topped by a maximal element are the maximal chains.
+    """
+    order, dimlist, above = p._above_masks()
+    ends: list = [[[] for _ in range(k + 1)] for k in dimlist]  # [i][k]: k+1 elements
+    by_dim: dict[int, set[Face]] = {-1: {()}}
+    facets: list[Face] = []
+    chain_carrier: dict[Face, Face] = {}
+    for i, e in enumerate(order):
+        sized, ends[i] = ends[i], None
+        sized[0].append((e,))
+        m = above[i]
+        while m:
+            j = (m & -m).bit_length() - 1
+            label, target = order[j], ends[j]
+            for k, chains in enumerate(sized):
+                out = target[k + 1]
+                for c in chains:
+                    at = bisect(c, label)
+                    out.append(c[:at] + (label,) + c[at:])
+            m &= m - 1
+        for k, chains in enumerate(sized):
+            by_dim.setdefault(k, set()).update(chains)
+            if carrier is not None:
+                chain_carrier.update(zip(chains, repeat(carrier[e])))
+        if not above[i]:
+            facets += sized[-1]
+    # the empty poset's order complex is the empty complex, with facet ()
+    return SimplicialComplex._generated_by(facets or [()], by_dim), chain_carrier
+
+
 def sd_complex(p: FacePoset) -> SimplicialComplex:
     """Order complex: vertices are poset elements, facets are maximal chains."""
-    if not p.elements:
-        return SimplicialComplex([()])
-    return SimplicialComplex(p.maximal_chains())
+    return _order_complex(p)[0]
 
 
 def sd_subdivision(source: Subdivision | FacePoset) -> Subdivision:
@@ -187,16 +198,8 @@ def sd_subdivision(source: Subdivision | FacePoset) -> Subdivision:
         raise ValueError(f"carrier missing for {sorted(missing)[0]}")
     base = p.base
     if base is None:
-        from .complexes import simplex
-
-        labels = sorted({v for f in p.carrier.values() for v in f})
-        base = simplex(labels)
-    total = sd_complex(p)
-    dims = p.dims
-    carrier: dict[Face, Face] = {}
-    for chain in total.nonempty_faces():
-        top = max(chain, key=lambda e: dims[e])
-        carrier[chain] = p.carrier[top]
+        base = simplex(sorted({v for f in p.carrier.values() for v in f}))
+    total, carrier = _order_complex(p, p.carrier)
     return Subdivision(base, total, carrier)
 
 

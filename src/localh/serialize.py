@@ -209,13 +209,14 @@ def _check_thin(p: FacePoset) -> None:
                     f"element{'' if n == 1 else 's'}, expected 2"
                 )
     ends = Counter(e for v, d in p.elements if d == 0 for e in up[v])
+    rank = p.rank
     for e, d in p.elements:
         if d == 1 and ends[e] != 2:
             n = ends[e]
             raise SchemaError(
                 f"poset: edge {e} covers {n} vert{'ex' if n == 1 else 'ices'}, expected 2"
             )
-        if d == p.rank - 2 >= 0 and len(up[e]) not in (1, 2):
+        if d == rank - 2 >= 0 and len(up[e]) not in (1, 2):
             n = len(up[e])
             raise SchemaError(
                 f"poset: element {e} lies under {n} top cell{'' if n == 1 else 's'}, "

@@ -9,10 +9,12 @@ h-polynomial, the quasi-geometric and vertex-induced predicates, and the
 weak-ball validity check all derive from it.
 
 Internally every carrier query reads one encoding: a base face is a bitmask
-over the sorted base vertices (bit i for the i-th vertex), and each total
-face's carrier mask is built once.  "The carrier of G lies in F" is then
-``not carrier_mask & ~mask(F)``.  The public ``carrier`` attribute stays the
-label map; no mask leaves this module.
+over the sorted base vertices (bit i for the i-th vertex), and each distinct
+carrier is encoded once, however many total faces share it.  "The carrier of
+G lies in F" is then ``not carrier_mask & ~mask(F)``.  The public ``carrier``
+attribute stays the label map; no mask leaves this module.  The h-polynomial
+of every restriction comes from one counting pass: faces are counted per
+(carrier mask, size), and each vertex subset sums the counts of its submasks.
 
 Ball recognition is undecidable in general, so validity here means the
 documented *weak ball check*: every restriction must be pure of the right
@@ -24,6 +26,7 @@ malformed carrier map this package can produce.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .complexes import (
@@ -112,17 +115,22 @@ class Subdivision:
             raise ValueError(
                 f"carrier map is missing {len(missing)} faces, e.g. {min(missing)}"
             )
-        for g, f in carrier.items():
+        if not all(issubclass(t, tuple) for t in set(map(type, carrier.values()))):
+            g, f = next((g, f) for g, f in carrier.items() if not isinstance(f, tuple))
+            raise ValueError(f"carrier {f} of {g} is not a base face")
+        # each distinct carrier is checked once, naming a face that has it
+        distinct = dict(zip(carrier.values(), carrier))
+        for f, g in distinct.items():
             if not f:
                 raise ValueError(f"face {g} has an empty carrier")
-            if not isinstance(f, tuple) or f not in base.faces(len(f) - 1):
+            if f not in base.faces(len(f) - 1):
                 raise ValueError(f"carrier {f} of {g} is not a base face")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "total", total)
         object.__setattr__(self, "carrier", dict(carrier))
         bits = {v: 1 << i for i, v in enumerate(base.vertices)}
         object.__setattr__(self, "_bits", bits)
-        object.__setattr__(self, "_cache", {})
+        object.__setattr__(self, "_cache", {"code": {f: self._mask(f) for f in distinct}})
 
     def __setattr__(self, name, value):
         raise AttributeError("Subdivision is immutable")
@@ -166,25 +174,27 @@ class Subdivision:
     def _carrier_masks(self) -> dict[Face, int]:
         """Carrier bitmask of every nonempty total face, in carrier order."""
         if "cm" not in self._cache:
-            self._cache["cm"] = {g: self._mask(c) for g, c in self.carrier.items()}
+            code = self._cache["code"].__getitem__  # the mask of each distinct carrier
+            self._cache["cm"] = dict(zip(self.carrier, map(code, self.carrier.values())))
         return self._cache["cm"]
 
-    def _carrier_unions(self) -> list[tuple[Face, int, int]]:
-        """(face, carrier mask, OR of its vertex-carrier masks) in (size, label) order."""
+    def _carrier_unions(self) -> list[dict[Face, int]]:
+        """Per face size from 1 up, each face's OR of its vertex-carrier masks:
+        the OR for its prefix, one size down, with that of its last vertex."""
         if "cu" not in self._cache:
-            cm = self._carrier_masks()
-            union: dict[Face, int] = {}
-            rows = []
-            for e in sorted(cm, key=_by_size):
-                u = cm[e] if len(e) == 1 else union[e[:-1]] | union[e[-1:]]
-                union[e] = u
-                rows.append((e, cm[e], u))
-            self._cache["cu"] = rows
+            cm, by_dim = self._carrier_masks(), self.total.faces_by_dim()
+            vertex = {g[0]: cm[g] for g in by_dim.get(0, ())}
+            unions = [{(v,): u for v, u in vertex.items()}] if vertex else []
+            for k in range(1, max(by_dim, default=0) + 1):
+                below = unions[-1]
+                unions.append({e: below[e[:-1]] | vertex[e[-1]] for e in by_dim[k]})
+            self._cache["cu"] = unions
         return self._cache["cu"]
 
     def _base_masks(self) -> list[tuple[Face, int]]:
         """Nonempty base faces with their masks, in (size, label) order."""
-        return [(f, self._mask(f)) for f in sorted(self.base.nonempty_faces(), key=_by_size)]
+        faces = sorted(self.base.nonempty_faces(), key=lambda f: (len(f), f))
+        return [(f, self._mask(f)) for f in faces]
 
     # -- restrictions ------------------------------------------------------
 
@@ -268,31 +278,46 @@ class Subdivision:
     # -- predicates ----------------------------------------------------------
 
     def is_quasi_geometric(self) -> PredicateResult:
-        """No face may have all its vertex carriers inside a smaller base face."""
+        """No face may have all its vertex carriers inside a smaller base face.
+
+        A face fails through its union alone, so each dimension tests its
+        distinct unions and scans its faces only when one of them fails.
+        Witnesses, here and in ``is_vertex_induced``, are the (size,
+        label)-least failing face and the first base face in (size, label)
+        order that shows the failure.
+        """
         base = None if self.base_is_simplex else self._base_masks()
-        for e, _, u in self._carrier_unions():
-            if len(e) < 2:
-                continue
-            if base is None:
-                if u.bit_count() < len(e):
-                    return PredicateResult(False, (e, self._face(u)))
-                continue
-            for f, fm in base:
-                if len(f) < len(e) and not u & ~fm:
-                    return PredicateResult(False, (e, f))
+        for size, union in enumerate(self._carrier_unions(), 1):
+            failing = {}
+            for u in set(union.values()):
+                if base is None:
+                    f = self._face(u) if u.bit_count() < size else None
+                else:
+                    f = next((f for f, fm in base if len(f) < size and not u & ~fm), None)
+                if f is not None:
+                    failing[u] = f
+            if failing:
+                e = min(e for e, u in union.items() if u in failing)
+                return PredicateResult(False, (e, failing[union[e]]))
         return PredicateResult(True)
 
     def is_vertex_induced(self) -> PredicateResult:
         """Whenever all vertices of a face lie over F, the face itself must too."""
+        cm = self._carrier_masks()
         base = None if self.base_is_simplex else self._base_masks()
-        for e, c, u in self._carrier_unions():
+        for union in self._carrier_unions():
             if base is None:
-                if c != u:
+                bad = [e for e, u in union.items() if cm[e] != u]
+            else:
+                bad = [e for e, u in union.items()
+                       if any(not u & ~fm and cm[e] & ~fm for _, fm in base)]
+            if bad:
+                e = min(bad)
+                u, c = union[e], cm[e]
+                if base is None:
                     return PredicateResult(False, (e, self._face(u)))
-                continue
-            for f, fm in base:
-                if not u & ~fm and c & ~fm:
-                    return PredicateResult(False, (e, f))
+                f = next(f for f, fm in base if not u & ~fm and c & ~fm)
+                return PredicateResult(False, (e, f))
         return PredicateResult(True)
 
     # -- local h ---------------------------------------------------------------
@@ -304,28 +329,30 @@ class Subdivision:
     def _subset_h_table(self) -> dict[int, Polynomial]:
         """h-polynomial of the restriction to every vertex subset (simplex base).
 
-        Keyed by subset mask; each total face contributes one face count to
-        every superset of its carrier mask.
+        Keyed by subset mask.  One pass counts the faces per (carrier mask,
+        size); a subset's f-vector is the sum of the counts of its submasks,
+        taken for every subset at once by adding rows across one vertex bit
+        at a time.
         """
         if "ht" in self._cache:
             return self._cache["ht"]
         self._require_simplex_base()
-        full = (1 << len(self.base.vertices)) - 1
-        counts: dict[int, dict[int, int]] = {m: {} for m in range(full + 1)}
-        for g, cmask in self._carrier_masks().items():
-            free = full ^ cmask
-            sub = free
-            size = len(g)
-            while True:
-                bucket = counts[cmask | sub]
-                bucket[size] = bucket.get(size, 0) + 1
-                if sub == 0:
-                    break
-                sub = (sub - 1) & free
-        table: dict[int, Polynomial] = {}
-        for mask, bucket in counts.items():
-            top = max(bucket, default=0)
-            table[mask] = h_from_f([1] + [bucket.get(n, 0) for n in range(1, top + 1)])
+        cm = self._carrier_masks()
+        n = len(self.base.vertices)
+        counts = Counter(zip(cm.values(), map(len, cm)))
+        top = max((size for _, size in counts), default=0)
+        rows = [[0] * (top + 1) for _ in range(1 << n)]
+        for (mask, size), count in counts.items():
+            rows[mask][size] = count
+        for k in range(n):
+            bit = 1 << k
+            for mask in range(1 << n):
+                if mask & bit:
+                    rows[mask] = [a + b for a, b in zip(rows[mask], rows[mask ^ bit])]
+        table = {}
+        for mask, row in enumerate(rows):
+            size = max((k for k in range(1, top + 1) if row[k]), default=0)
+            table[mask] = h_from_f([1] + row[1 : size + 1])
         self._cache["ht"] = table
         return table
 
@@ -376,10 +403,6 @@ class Subdivision:
             b = self.restriction_complex(face).boundary()
             self._cache[key] = ZERO if b.is_void else b.h_polynomial()
         return self._cache[key]
-
-
-def _by_size(face: Face) -> tuple[int, Face]:
-    return len(face), face
 
 
 def _alternating_subset_sum(table: dict[int, Polynomial], mask: int) -> Polynomial:

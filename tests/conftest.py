@@ -9,12 +9,14 @@ small summary records so memory stays bounded.
 
 from __future__ import annotations
 
+import pathlib
 from dataclasses import dataclass, field
 from itertools import combinations
 
 import pytest
 
-from localh.constructions import random_subdivision
+from localh import serialize
+from localh.constructions import random_subdivision, trivial_on
 from localh.identities import (
     boundary_h_from_h,
     local_h_via_boundary_recursion,
@@ -26,6 +28,7 @@ from localh.posets import CdPolynomial, ek_difference, face_poset, sd_complex, s
 CORPUS_SEEDS = range(100)
 CORPUS_MAX_D = 5
 CORPUS_MAX_STEPS = 6
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 @dataclass
@@ -137,3 +140,22 @@ def _summaries():
 @pytest.fixture(scope="session")
 def corpus_summaries():
     return _summaries()
+
+
+@pytest.fixture(scope="session")
+def sd_sources():
+    """(name, subdivision or poset) pairs on which barycentric subdivision is
+    compared with its oracles: every shipped fixture, the simplex on 1..5
+    vertices and the first 20 corpus members."""
+    out = []
+    for path in sorted(FIXTURES.glob("*.json")):
+        obj = serialize.load_json(str(path))
+        if serialize.detect_kind(obj) == "poset":
+            out.append((path.stem, serialize.poset_from_obj(obj)))
+        else:
+            out.append((path.stem, serialize.subdivision_from_obj(obj)))
+    out += [(f"simplex{n}", trivial_on(n)) for n in range(1, 6)]
+    for seed in range(20):
+        member, _ = random_subdivision(seed, CORPUS_MAX_D, seed % (CORPUS_MAX_STEPS + 1))
+        out.append((f"corpus{seed}", member))
+    return out

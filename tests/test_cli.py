@@ -26,7 +26,9 @@ def run(capsys, *argv):
 # witness), the two-triangle base and the two broken carrier maps were
 # recorded before carrier queries moved to base-vertex bitmasks.  The cdindex
 # entries for the simplex on 5, 6 and 7 vertices were recorded before the
-# cd-form moved to the c/e transform and the chain counts to a DP.  A
+# cd-form moved to the c/e transform and the chain counts to a DP.  The bary
+# entries, the d = 6 search and the derangement table were recorded before
+# the order complex moved to the chain DP and permutations to itertools.  A
 # refactor must keep every one byte-identical.
 GOLDEN = [
     (("compute", "bary_stellar_triangle.json"), 0,
@@ -88,6 +90,39 @@ GOLDEN = [
      "e6ec8471ef3b81f32cc0202f8432934457ed8accd3cc5564d48ea02a1d677cc2"),
     (("cdindex", "simplex7_poset.json"), 0,
      "039640cfe87619cdf8ceb5622d640e90a0ac0089a19c077c2d6c8c8c1e8d42cb"),
+    (("bary", "bary_stellar_triangle.json"), 0,
+     "34db95f4035a91d8bdfd4f4e888c78de63aea83679d3c40c25c63e31a6d07d51"),
+    (("bary", "broken_stellar_triangle.json"), 0,
+     "80d0f83c82a2218ef95206b38a2b9842cb1e84af04d3073f40c073a818d9caad"),
+    (("bary", "broken_two_triangles.json"), 0,
+     "89320dbc2fde28ea1815e60da4a94d3ffa5a6bdd7e93b47533ade0c3c1f8f88d"),
+    (("bary", "double_push.json"), 0,
+     "1d6153bac058b5adc7809ff4f3e95631e9a40a870df243d3ad3ebfffc1f390ad"),
+    (("bary", "hexagon_poset.json"), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("bary", "nonunimodal_quasigeometric.json"), 0,
+     "32d7276b004f6da2e90cd70b59582794d21ce6c608e004584b3c3f5dc7063738"),
+    (("bary", "square_poset.json"), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("bary", "stellar_triangle.json"), 0,
+     "ea0888d12421549f3db49b7357291838eda249fbf582eff41d4d4ebcd9887afc"),
+    (("bary", "stellar_triangle_poset.json"), 0,
+     "ea0888d12421549f3db49b7357291838eda249fbf582eff41d4d4ebcd9887afc"),
+    (("bary", "stellar_two_triangles.json"), 0,
+     "8ea688d78726c67beebffbf2d569857030d2ee13af77658073782324ad745c23"),
+    (("bary", "trivial_d2.json"), 0,
+     "6232d97fe7c577b02f2d7bd6d6c5bc72da8c7c6281f4960cf2485f4077e03c55"),
+    (("bary", "trivial_d3.json"), 0,
+     "2c647fa6f97b531c098ccfb9901fee0464e6b3a1dcb5f9ee193465945a4cf29c"),
+    (("bary", "trivial_d4.json"), 0,
+     "64ee95bd3564cddf1bcc7f86605297fe6fbaa632d98a5ae96b95705d13909766"),
+    (("bary", "trivial_d5.json"), 0,
+     "dcada6ba698c65f9b725433848859cb0f2947c93bc8a50701727fc599d2f96eb"),
+    (("search", "--seed", "5", "--count", "3", "--max-d", "6", "--steps", "6",
+      "--include-sd"), 0,
+     "ffb3b95e6548077e8d020ad2b3a8b85405a1f43b50420baf471f6c7718419673"),
+    (("derangement", "--max-d", "8", "--json"), 0,
+     "a2c8270c713b66a840d00c24668b43aa7fd622072e321d9b572939dd701bc7b4"),
 ]
 
 # Inputs the golden table names that are not shipped: the face poset of the

@@ -1,5 +1,4 @@
 import math
-from itertools import permutations
 
 import pytest
 
@@ -9,14 +8,8 @@ from localh.permstats import (
     derangement_recurrence,
     enumeration_bound,
     eulerian_polynomial,
-    permutations_lex,
 )
 from localh.polynomials import ONE, ZERO, Polynomial, gamma_extract, is_unimodal
-
-
-def test_permutations_lex_matches_itertools():
-    for n in range(6):
-        assert list(permutations_lex(n)) == sorted(permutations(range(1, n + 1)))
 
 
 def test_eulerian_examples():

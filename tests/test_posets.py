@@ -26,6 +26,7 @@ from localh.posets import (
     sd_complex,
     sd_subdivision,
 )
+from localh.subdivisions import Subdivision
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -152,6 +153,63 @@ def test_sd_restriction_commutes():
 def test_sd_requires_carriers():
     with pytest.raises(ValueError):
         sd_subdivision(SQUARE_CELL)
+
+
+# -- the chain DP against the maximal-chain walk -------------------------------
+
+
+def maximal_chains(p):
+    """Every maximal chain, by a stack walk up the covers from each minimal element."""
+    up = {e: sorted(hi for lo, hi in p.covers if lo == e) for e, _ in p.elements}
+    has_lower = {hi for _, hi in p.covers}
+    minimal = sorted(e for e, _ in p.elements if e not in has_lower)
+    chains = []
+    stack = [(e,) for e in reversed(minimal)]
+    while stack:
+        chain = stack.pop()
+        ups = up[chain[-1]]
+        if not ups:
+            chains.append(chain)
+        else:
+            stack.extend(chain + (nxt,) for nxt in reversed(ups))
+    return chains
+
+
+def oracle_sd_complex(p):
+    """The order complex generated, and closed, from the maximal chains."""
+    return SimplicialComplex(maximal_chains(p) if p.elements else [()])
+
+
+def oracle_sd_carrier(p, total):
+    """Each chain's carrier, read off its element of highest dimension."""
+    return {
+        chain: p.carrier[max(chain, key=lambda e: p.dims[e])]
+        for chain in total.nonempty_faces()
+    }
+
+
+def assert_same_complex(got, want):
+    assert got == want
+    assert got.facets == want.facets
+    assert got.faces_by_dim() == want.faces_by_dim()
+
+
+def test_order_complex_matches_the_chain_walk(sd_sources):
+    for name, source in sd_sources:
+        p = face_poset(source) if isinstance(source, Subdivision) else source
+        want = oracle_sd_complex(p)
+        assert_same_complex(sd_complex(p), want)
+        if p.carrier is None:
+            assert name in ("hexagon_poset", "square_poset")
+            continue
+        s = sd_subdivision(source)
+        assert_same_complex(s.total, want)
+        assert s.carrier == oracle_sd_carrier(p, want), name
+
+
+def test_order_complex_of_the_empty_poset():
+    p = FacePoset((), ())
+    assert_same_complex(sd_complex(p), oracle_sd_complex(p))
 
 
 def test_flag_vectors_hexagon():

@@ -15,7 +15,7 @@ from localh.constructions import (
     stellar_facet,
     trivial_on,
 )
-from localh.polynomials import Polynomial
+from localh.polynomials import Polynomial, h_from_f
 from localh.posets import sd_subdivision
 from localh.subdivisions import BaseNotSimplexError, Subdivision
 
@@ -286,6 +286,59 @@ def test_carrier_faces_are_checked_not_repaired():
             Subdivision(s.base, s.total, carrier)
 
 
+def test_a_bad_carrier_names_a_face_that_has_it():
+    s = stellar_facet(trivial_on(3))
+    carrier = dict(s.carrier)
+    carrier[("v1", "z1")] = ()
+    with pytest.raises(ValueError, match=re.escape("face ('v1', 'z1') has an empty carrier")):
+        Subdivision(s.base, s.total, carrier)
+    interior = {g for g, c in s.carrier.items() if len(c) == 3}
+    carrier = {g: ("v1", "v9") if g in interior else c for g, c in s.carrier.items()}
+    with pytest.raises(ValueError, match=r"carrier \('v1', 'v9'\) of (.*) is not") as info:
+        Subdivision(s.base, s.total, carrier)
+    named = re.search(r"of (\(.*\)) is", str(info.value)).group(1)
+    assert named in {str(g) for g in interior}
+
+
+def oracle_subset_h_table(s):
+    """Each face counted into every superset of its carrier, one face at a time."""
+    verts = s.base.vertices
+    full = (1 << len(verts)) - 1
+    counts = {m: {} for m in range(full + 1)}
+    for g, c in s.carrier.items():
+        cmask = sum(1 << verts.index(v) for v in c)
+        free = sub = full ^ cmask
+        while True:
+            bucket = counts[cmask | sub]
+            bucket[len(g)] = bucket.get(len(g), 0) + 1
+            if sub == 0:
+                break
+            sub = (sub - 1) & free
+    return {
+        m: h_from_f([1] + [b.get(n, 0) for n in range(1, max(b, default=0) + 1)])
+        for m, b in counts.items()
+    }
+
+
+def subdivisions_of(sources):
+    """Each subdivision source and the barycentric subdivision of each source
+    that has carriers."""
+    for name, source in sources:
+        if isinstance(source, Subdivision):
+            yield name, source
+        if source.carrier is not None:
+            yield f"sd {name}", sd_subdivision(source)
+
+
+def test_subset_h_table_matches_the_per_face_loop(sd_sources):
+    compared = 0
+    for name, s in subdivisions_of(sd_sources):
+        if s.base_is_simplex:
+            assert s._subset_h_table() == oracle_subset_h_table(s), name
+            compared += 1
+    assert compared > 50
+
+
 def test_subset_h_matches_restriction_complex():
     s = push_then_stellar(trivial_on(4))
     for k in range(5):
@@ -395,6 +448,12 @@ def test_carrier_queries_match_oracles_on_random_members():
         s, _ = random_subdivision(seed, 5, 4)
         assert_matches_oracles(s)
         assert_matches_oracles(sd_subdivision(s))
+
+
+def test_carrier_queries_match_oracles_on_sd_sources(sd_sources):
+    for name, s in subdivisions_of(sd_sources):
+        if name.startswith("sd "):
+            assert_matches_oracles(s)
 
 
 def test_carrier_queries_match_oracles_on_unrepaired_pushes():
