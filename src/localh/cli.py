@@ -1,7 +1,7 @@
 """Command-line surface.
 
 Exit codes: 0 ok, 1 identity or predicate failure, 2 input error,
-3 internal self-check failure.
+3 internal self-check failure or any other unexpected exception.
 """
 
 from __future__ import annotations
@@ -12,12 +12,7 @@ import sys
 from collections import Counter
 
 from . import constructions, identities, posets, serialize
-from .complexes import NotPureError, RidgeInThreeFacetsError
-from .permstats import (
-    EnumerationBoundError,
-    derangement_enum,
-    derangement_recurrence,
-)
+from .permstats import derangement_enum, derangement_recurrence
 from .polynomials import NotSymmetricError, gamma_extract, is_unimodal
 from .serialize import SchemaError
 from .subdivisions import Subdivision
@@ -324,15 +319,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SchemaError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return INPUT_ERROR
     except constructions.InternalMismatchError as exc:
         print(f"internal self-check failure: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
-    except (EnumerationBoundError, NotPureError, RidgeInThreeFacetsError, ValueError) as exc:
+    except ValueError as exc:  # SchemaError and every other input error
         print(f"input error: {exc}", file=sys.stderr)
         return INPUT_ERROR
+    except Exception as exc:  # a fault of the program, not of the input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 def entrypoint():

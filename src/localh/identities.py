@@ -42,24 +42,6 @@ def boundary_h_from_h(h: Polynomial, d: int) -> Polynomial:
     return Polynomial(out)
 
 
-def h_difference_partial_sums(h: Polynomial, d: int) -> Polynomial:
-    """h minus its boundary h, directly from partial sums of h_(d-j-1) - h_j.
-
-    Consistent with boundary_h_from_h by construction: subtracting the
-    partial-sum boundary formula from h telescopes to exactly these sums.
-    """
-    coeffs = h.padded(d)
-    if coeffs[d] != 0:
-        raise ValueError(f"top coefficient must vanish for a ball, got {coeffs[d]}")
-    out = []
-    running = 0
-    for i in range(d + 1):
-        out.append(running)
-        if i < d:
-            running += coeffs[d - i - 1] - coeffs[i]
-    return Polynomial(out)
-
-
 def _restriction_h_difference(s: Subdivision, face: Face) -> Polynomial:
     """h of a restriction minus h of its boundary; 1 for the empty restriction."""
     if not face:

@@ -3,14 +3,15 @@
 Every standalone file carries a top-level ``"format": "localh/1"`` key;
 unknown keys are rejected so typos in hand-written fixtures fail loudly.
 Carrier keys are comma-joined sorted vertex labels, which is why labels may
-not contain commas.
+not contain commas. Loading checks each distinct label list once, and takes
+a carrier key as it stands when the total's face closure holds it.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from typing import Any
+from typing import Any, Iterator
 
 from .complexes import SimplicialComplex, canonical_face
 from .constructions import MAX_BASE_VERTICES, OpStep, OpWord
@@ -46,6 +47,26 @@ def _check_label(label: Any, where: str) -> str:
     return label
 
 
+def _label_lists(raw: dict, where: str) -> Iterator[tuple[Any, tuple[str, ...]]]:
+    """Yield each key of ``raw`` with the canonical face of its label list.
+
+    Each distinct list is checked once, at its first key; ``seen`` holds only
+    lists that passed, so a lookup accepts no non-string.
+    """
+    seen: dict[tuple, tuple[str, ...]] = {}
+    for key, value in raw.items():
+        if not isinstance(value, list):
+            raise SchemaError(f"{where}[{key}]: expected an array")
+        try:
+            face = seen.get(tuple(value))
+        except TypeError:  # an entry that cannot be hashed is not a label
+            face = None
+        if face is None:
+            checked = (_check_label(v, f"{where}[{key}]") for v in value)
+            face = seen[tuple(value)] = canonical_face(checked)
+        yield key, face
+
+
 # -- complexes -----------------------------------------------------------------
 
 
@@ -62,24 +83,30 @@ def complex_from_obj(obj: Any, where: str = "complex") -> SimplicialComplex:
     facets = obj["facets"]
     if not isinstance(vertices, list) or not isinstance(facets, list):
         raise SchemaError(f"{where}: vertices and facets must be arrays")
-    labels = [_check_label(v, f"{where}.vertices") for v in vertices]
-    if len(set(labels)) != len(labels):
+    labels = {_check_label(v, f"{where}.vertices") for v in vertices}
+    if len(labels) != len(vertices):
         raise SchemaError(f"{where}.vertices: duplicate labels")
     parsed = []
     for i, f in enumerate(facets):
         if not isinstance(f, list):
             raise SchemaError(f"{where}.facets[{i}]: expected an array")
-        entries = [_check_label(v, f"{where}.facets[{i}]") for v in f]
-        if len(set(entries)) != len(entries):
+        try:  # a facet of labels checked in ``vertices`` is not checked again
+            distinct = set(f)
+        except TypeError:  # an entry that cannot be hashed is not a label
+            distinct = None
+        if distinct is None or not labels.issuperset(distinct):
+            f = [_check_label(v, f"{where}.facets[{i}]") for v in f]
+            distinct = set(f)
+        if len(distinct) != len(f):
             raise SchemaError(f"{where}.facets[{i}]: repeated vertex label")
-        parsed.append(entries)
+        parsed.append(f)
     try:
         k = SimplicialComplex(parsed)
     except ValueError as exc:
         raise SchemaError(f"{where}.facets: {exc}") from exc
     used = set(k.vertices)
-    if used != set(labels):
-        missing = sorted(set(labels) - used)
+    if used != labels:
+        missing = sorted(labels - used)
         raise SchemaError(
             f"{where}: vertices {missing} appear in no facet"
             if missing
@@ -109,18 +136,16 @@ def subdivision_from_obj(obj: Any) -> Subdivision:
     raw = obj["carrier"]
     if not isinstance(raw, dict):
         raise SchemaError("subdivision.carrier: expected an object")
-    # faces enter the program here, so keys and values are canonicalized once
+    # faces enter the program here; a key in the total's closure is canonical
+    faces = total.nonempty_faces()
     carrier: dict[tuple[str, ...], tuple[str, ...]] = {}
-    for key, value in raw.items():
-        if not isinstance(value, list):
-            raise SchemaError(f"subdivision.carrier[{key}]: expected an array")
-        carrier[canonical_face(key.split(","))] = canonical_face(
-            _check_label(v, f"subdivision.carrier[{key}]") for v in value
-        )
+    for key, value in _label_lists(raw, "subdivision.carrier"):
+        face = tuple(key.split(","))
+        carrier[face if face in faces else canonical_face(face)] = value
     try:
         return Subdivision(base, total, carrier)
     except ValueError as exc:
-        missing = total.nonempty_faces() - carrier.keys()
+        missing = faces - carrier.keys()
         if not missing:
             raise SchemaError(f"subdivision: {exc}") from exc
         if carrier and all(len(g) == 1 for g in carrier):
@@ -172,13 +197,7 @@ def poset_from_obj(obj: Any) -> FacePoset:
     if "carrier" in obj:
         if not isinstance(obj["carrier"], dict):
             raise SchemaError("poset.carrier: expected an object")
-        carrier = {}
-        for e, f in obj["carrier"].items():
-            if not isinstance(f, list):
-                raise SchemaError(f"poset.carrier[{e}]: expected an array")
-            carrier[e] = canonical_face(
-                _check_label(v, f"poset.carrier[{e}]") for v in f
-            )
+        carrier = dict(_label_lists(obj["carrier"], "poset.carrier"))
     base = complex_from_obj(obj["base"], "poset.base") if "base" in obj else None
     try:
         p = FacePoset(tuple(elements), tuple(covers), carrier, base)

@@ -10,6 +10,7 @@ small summary records so memory stays bounded.
 from __future__ import annotations
 
 import pathlib
+from copy import deepcopy
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -158,4 +159,39 @@ def sd_sources():
     for seed in range(20):
         member, _ = random_subdivision(seed, CORPUS_MAX_D, seed % (CORPUS_MAX_STEPS + 1))
         out.append((f"corpus{seed}", member))
+    return out
+
+
+# Values a mutation may put in place of a JSON node: wrong types, empty and
+# comma-holding labels, nested arrays and objects.
+JSON_REPLACEMENTS = (None, 0, -1, 2, 2.5, True, "", "x", "a,b", [], {}, ["x"], [[]], {"x": 1})
+
+
+def mutate_json(obj, rng):
+    """A deep copy of ``obj`` with one node, picked by ``rng``, replaced,
+    dropped or duplicated.  The root itself is never touched."""
+    out = deepcopy(obj)
+    slots = []
+    stack = [out]
+    while stack:
+        node = stack.pop()
+        keys = range(len(node)) if isinstance(node, list) else list(node)
+        for k in keys:
+            slots.append((node, k))
+            if isinstance(node[k], (list, dict)):
+                stack.append(node[k])
+    if not slots:
+        return out
+    node, k = rng.choice(slots)
+    op = rng.choice(("replace", "drop", "duplicate"))
+    if op == "replace":
+        other = rng.choice(slots)
+        pool = JSON_REPLACEMENTS + (other[0][other[1]],)
+        node[k] = deepcopy(rng.choice(pool))
+    elif op == "drop":
+        del node[k]
+    elif isinstance(node, list):
+        node.insert(k, deepcopy(node[k]))
+    else:
+        node[rng.choice([*node, f"{k}x"])] = deepcopy(node[k])
     return out

@@ -1,8 +1,11 @@
 import hashlib
 import json
 import pathlib
+import random
+from collections import Counter
 
 import pytest
+from conftest import mutate_json
 
 from localh import serialize
 from localh.cli import main
@@ -497,3 +500,34 @@ def test_enumeration_bound_not_an_integer(monkeypatch, capsys):
     assert code == 2
     assert "LOCALH_MAX_ENUM='abc'" in err
     assert out == ""
+
+
+def test_unexpected_exception_exits_3_with_one_line(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("stub failure")
+
+    monkeypatch.setattr("localh.cli.cmd_compute", broken)
+    code, out, err = run(capsys, "compute", str(FIXTURES / "trivial_d2.json"))
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: RuntimeError: stub failure\n"
+
+
+FUZZ_COMMANDS = {"subdivision": ("compute", "identities", "bary"), "poset": ("cdindex", "bary")}
+
+
+def test_mutated_fixtures_exit_0_1_or_2_without_traceback(tmp_path, capsys):
+    """Seeded mutations of every fixture (one JSON node replaced, dropped or
+    duplicated) through each command that reads its kind of file."""
+    rng = random.Random(7)
+    codes = Counter()
+    for path in sorted(FIXTURES.glob("*.json")):
+        obj = serialize.load_json(str(path))
+        for command in FUZZ_COMMANDS[serialize.detect_kind(obj)]:
+            for i in range(25):
+                mutated = tmp_path / f"{path.stem}-{command}-{i}.json"
+                mutated.write_text(json.dumps(mutate_json(obj, rng)))
+                code, _, err = run(capsys, command, str(mutated))
+                assert code in (0, 1, 2) and "Traceback" not in err, (mutated.read_text(), err)
+                codes[code] += 1
+    assert codes[0] and codes[2]

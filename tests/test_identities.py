@@ -9,7 +9,6 @@ from localh.constructions import (
 )
 from localh.identities import (
     boundary_h_from_h,
-    h_difference_partial_sums,
     local_h_via_boundary_recursion,
     local_h_via_derangements,
     verify_all,
@@ -29,6 +28,21 @@ def test_boundary_h_examples():
 def test_boundary_h_requires_ball():
     with pytest.raises(ValueError):
         boundary_h_from_h(Polynomial([1, 4, 1]), 2)
+
+
+def h_difference_partial_sums(h: Polynomial, d: int) -> Polynomial:
+    """h minus its boundary h, directly from partial sums of h_(d-j-1) - h_j:
+    subtracting the partial-sum boundary formula from h telescopes to these
+    sums, so this is an independent check on ``boundary_h_from_h``."""
+    coeffs = h.padded(d)
+    assert coeffs[d] == 0
+    out = []
+    running = 0
+    for i in range(d + 1):
+        out.append(running)
+        if i < d:
+            running += coeffs[d - i - 1] - coeffs[i]
+    return Polynomial(out)
 
 
 def test_difference_partial_sums_consistent():

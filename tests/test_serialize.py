@@ -1,11 +1,13 @@
 import importlib.util
 import json
 import pathlib
+import random
 
 import pytest
+from conftest import mutate_json
 
 from localh import serialize
-from localh.complexes import SimplicialComplex, simplex
+from localh.complexes import SimplicialComplex, canonical_face, simplex
 from localh.constructions import (
     OpStep,
     OpWord,
@@ -15,6 +17,7 @@ from localh.constructions import (
 )
 from localh.posets import face_poset, sd_subdivision
 from localh.serialize import SchemaError
+from localh.subdivisions import Subdivision
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -205,3 +208,169 @@ def test_make_fixtures_regenerates_the_shipped_files(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == shipped
     for name in shipped:
         assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes(), name
+
+
+# -- the per-face loader, kept as the oracle of the one-pass loader ------------
+
+
+def _old_complex_from_obj(obj, where="complex"):
+    serialize._require_keys(obj, {"vertices", "facets"}, set(), where)
+    vertices = obj["vertices"]
+    facets = obj["facets"]
+    if not isinstance(vertices, list) or not isinstance(facets, list):
+        raise SchemaError(f"{where}: vertices and facets must be arrays")
+    labels = [serialize._check_label(v, f"{where}.vertices") for v in vertices]
+    if len(set(labels)) != len(labels):
+        raise SchemaError(f"{where}.vertices: duplicate labels")
+    parsed = []
+    for i, f in enumerate(facets):
+        if not isinstance(f, list):
+            raise SchemaError(f"{where}.facets[{i}]: expected an array")
+        entries = [serialize._check_label(v, f"{where}.facets[{i}]") for v in f]
+        if len(set(entries)) != len(entries):
+            raise SchemaError(f"{where}.facets[{i}]: repeated vertex label")
+        parsed.append(entries)
+    try:
+        k = SimplicialComplex(parsed)
+    except ValueError as exc:
+        raise SchemaError(f"{where}.facets: {exc}") from exc
+    used = set(k.vertices)
+    if used != set(labels):
+        missing = sorted(set(labels) - used)
+        raise SchemaError(
+            f"{where}: vertices {missing} appear in no facet"
+            if missing
+            else f"{where}: facets use labels missing from vertices"
+        )
+    return k
+
+
+def _old_subdivision_from_obj(obj):
+    serialize._require_keys(obj, {"base", "total", "carrier"}, set(), "subdivision")
+    base = _old_complex_from_obj(obj["base"], "subdivision.base")
+    total = _old_complex_from_obj(obj["total"], "subdivision.total")
+    raw = obj["carrier"]
+    if not isinstance(raw, dict):
+        raise SchemaError("subdivision.carrier: expected an object")
+    carrier = {}
+    for key, value in raw.items():
+        if not isinstance(value, list):
+            raise SchemaError(f"subdivision.carrier[{key}]: expected an array")
+        carrier[canonical_face(key.split(","))] = canonical_face(
+            serialize._check_label(v, f"subdivision.carrier[{key}]") for v in value
+        )
+    try:
+        return Subdivision(base, total, carrier)
+    except ValueError as exc:
+        missing = total.nonempty_faces() - carrier.keys()
+        if not missing:
+            raise SchemaError(f"subdivision: {exc}") from exc
+        if carrier and all(len(g) == 1 for g in carrier):
+            raise SchemaError(
+                "subdivision.carrier: only vertices are listed; carriers are "
+                "required on all faces because pushed faces carry strictly "
+                "more than the span of their vertex carriers"
+            ) from exc
+        raise SchemaError(
+            f"subdivision.carrier: missing {len(missing)} faces, "
+            f"e.g. {','.join(sorted(missing)[0])}"
+        ) from exc
+
+
+def _outcome(load, obj):
+    """The loaded base, total and carrier (in order), or the error's type and
+    message."""
+    try:
+        s = load(json.loads(json.dumps(obj)))
+    except Exception as exc:  # the type is part of the outcome
+        return type(exc), str(exc)
+    return s.base, s.total, list(s.carrier.items())
+
+
+def _assert_same_as_oracle(obj):
+    new = _outcome(serialize.subdivision_from_obj, obj)
+    assert new == _outcome(_old_subdivision_from_obj, obj)
+    return new
+
+
+SUBDIVISION_FIXTURES = [
+    p for p in sorted(FIXTURES.glob("*.json"))
+    if serialize.detect_kind(serialize.load_json(str(p))) == "subdivision"
+]
+
+
+def _targeted_mutations(obj, rng):
+    """Edits of a subdivision file aimed at the loader's shortcuts: carrier
+    keys and values that are not canonical, bad entries in a value list, a
+    facet label missing from ``vertices`` and two keys for one face."""
+    keys = list(obj["carrier"])
+    key = rng.choice(keys)
+    labels = key.split(",")
+    value = obj["carrier"][key]
+    other = rng.choice(keys)
+
+    def edit(fn):
+        out = json.loads(json.dumps(obj))
+        fn(out)
+        return out
+
+    def move_key(o, new_key):
+        o["carrier"] = {(new_key if k == key else k): v for k, v in o["carrier"].items()}
+
+    yield edit(lambda o: move_key(o, ",".join(reversed(labels))))
+    yield edit(lambda o: move_key(o, ",".join(labels + labels[:1])))
+    yield edit(lambda o: o["carrier"].__setitem__(key, list(reversed(value))))
+    yield edit(lambda o: o["carrier"].__setitem__(key, value + value[:1]))
+    for bad in (["x"], 1, "", None, {"x": 1}, "a,b"):
+        at = rng.randrange(len(value) + 1)
+        yield edit(lambda o, bad=bad: o["carrier"][key].insert(at, bad))
+        yield edit(lambda o, bad=bad: o["carrier"][other].insert(at, bad))
+    for part in ("base", "total"):
+        facets = obj[part]["facets"]
+        i = rng.randrange(len(facets))
+        j = rng.randrange(len(facets[i]))
+        yield edit(lambda o: o[part]["facets"][i].__setitem__(j, "zz"))
+        yield edit(lambda o: o[part]["facets"][i].append("zz"))
+        yield edit(lambda o: o[part]["facets"][i].append(o[part]["facets"][i][0]))
+        yield edit(lambda o: o[part]["facets"][i].__setitem__(j, [facets[i][j]]))
+        yield edit(lambda o: o[part]["vertices"].append("zz"))
+    # two keys for one face, the second with the value of another key
+    yield edit(lambda o: o["carrier"].__setitem__(",".join(reversed(labels)), obj["carrier"][other]))
+    yield edit(lambda o: o["carrier"].__setitem__(",".join(labels + labels), value))
+    yield edit(lambda o: o["carrier"].pop(key))
+
+
+def test_one_pass_loader_matches_oracle_on_fixtures_and_corpus():
+    for path in SUBDIVISION_FIXTURES:
+        out = _assert_same_as_oracle(serialize.load_json(str(path)))
+        assert isinstance(out[0], SimplicialComplex), out
+    for seed in range(20):
+        member, _ = random_subdivision(seed, 5, seed % 7)
+        out = _assert_same_as_oracle(serialize.subdivision_to_obj(member))
+        assert out[:2] == (member.base, member.total) and dict(out[2]) == member.carrier
+
+
+def test_one_pass_loader_matches_oracle_on_mutations():
+    rng = random.Random(13)
+    outcomes = []
+    for path in SUBDIVISION_FIXTURES:
+        obj = serialize.load_json(str(path))
+        for _ in range(4):
+            outcomes += map(_assert_same_as_oracle, _targeted_mutations(obj, rng))
+        for _ in range(60):
+            mutated = obj
+            for _ in range(rng.randint(1, 2)):
+                mutated = mutate_json(mutated, rng)
+            outcomes.append(_assert_same_as_oracle(mutated))
+    errors = [out[1] for out in outcomes if isinstance(out[0], type)]
+    # the mutations reach every check the shortcuts pass by
+    for message in (
+        "labels must be nonempty strings",
+        "facets use labels missing from vertices",
+        "repeated vertex label",
+        "contains a comma",
+        "expected an array",
+        "carrier map has non-faces",
+        "missing 1 faces",
+    ):
+        assert any(message in e for e in errors), message
