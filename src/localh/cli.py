@@ -7,6 +7,7 @@ Exit codes: 0 ok, 1 identity or predicate failure, 2 input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections import Counter
@@ -263,6 +264,7 @@ def cmd_replay(args) -> int:
     return OK
 
 
+@functools.cache  # one parser per process; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="localh",
@@ -272,31 +274,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compute", help="invariants and predicates of a subdivision file")
     p.add_argument("file")
-    p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("realize", help="build a subdivision with a prescribed local h")
     p.add_argument("--target", required=True, help="comma-separated integers")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_realize)
 
     p = sub.add_parser("bary", help="barycentric subdivision with induced carriers")
     p.add_argument("file")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_bary)
 
     p = sub.add_parser("identities", help="run every identity check on a subdivision")
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_identities)
 
     p = sub.add_parser("derangement", help="enumeration vs recurrence table")
     p.add_argument("--max-d", type=int, default=8)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_derangement)
 
     p = sub.add_parser("cdindex", help="ab-index, cd-form, and ball difference of a poset")
     p.add_argument("file")
-    p.set_defaults(func=cmd_cdindex)
 
     p = sub.add_parser("search", help="stream random quasi-geometric instances")
     p.add_argument("--seed", type=int, default=0)
@@ -305,20 +301,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=5)
     p.add_argument("--require", choices=["vertex-induced"])
     p.add_argument("--include-sd", action="store_true")
-    p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("replay", help="rebuild an op word and re-verify it")
     p.add_argument("file")
-    p.set_defaults(func=cmd_replay)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except constructions.InternalMismatchError as exc:
         print(f"internal self-check failure: {exc}", file=sys.stderr)
         return INTERNAL_ERROR

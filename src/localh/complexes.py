@@ -3,15 +3,15 @@ boundaries, and reduced homology over the two-element field.
 
 A face is a tuple of vertex labels in sorted order; a complex is stored by
 its facets and its downward closure, which one routine (``_closure``) builds
-once, at construction.  The order complex of a poset is the exception: its
-chain DP makes every face once, and hands the closure in as it is.
+level by level, once, at construction.  The order complex of a poset is the
+exception: its chain DP makes every face once, and hands the closure in.
 Two degenerate complexes are distinguished: the void complex has no faces at
 all, while the empty complex consists of the single face ().
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from typing import Iterable
 
 from .polynomials import Polynomial, h_from_f
@@ -64,19 +64,21 @@ def gf2_rank(rows: list[int], pivots: dict[int, int] | None = None) -> int:
 
 
 def _closure(faces: Iterable[Face]) -> tuple[list[Face], dict[int, set[Face]]]:
-    """Maximal members and downward closure, by dimension, of canonical faces.
-
-    Faces are walked largest first, and one is kept only if the closure of
-    those kept before it does not already hold it.
-    """
+    """Maximal members and downward closure, by dimension, of canonical faces,
+    level by level from the largest size down.  A level holds the given faces
+    of its size and those one vertex short of the level above; a given face
+    is maximal when its level did not already hold it."""
+    given: dict[int, set[Face]] = {}
+    for f in faces:
+        given.setdefault(len(f), set()).add(f)
     kept: list[Face] = []
     table: dict[int, set[Face]] = {}
-    for f in sorted(faces, key=len, reverse=True):
-        if f in table.get(len(f) - 1, ()):
-            continue
-        kept.append(f)
-        for k in range(len(f) + 1):
-            table.setdefault(k - 1, set()).update(combinations(f, k))
+    for size in range(max(given, default=-1), -1, -1):
+        level = set(chain.from_iterable(map(combinations, table.get(size, ()), repeat(size))))
+        new = given.get(size, set())
+        kept += new - level
+        level |= new
+        table[size - 1] = level
     return kept, table
 
 
@@ -215,10 +217,10 @@ class SimplicialComplex:
         for ridge, n in counts.items():
             if n > 2:
                 raise RidgeInThreeFacetsError(f"face {ridge} lies in {n} facets")
-        rim = [r for r, n in sorted(counts.items()) if n == 1]
+        rim = [r for r, n in counts.items() if n == 1]
         if not rim:
             return VOID
-        return SimplicialComplex(rim)
+        return SimplicialComplex._generated_by(rim)  # distinct, canonical, one size
 
     # -- homology over GF(2) ----------------------------------------------
 

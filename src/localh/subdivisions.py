@@ -131,6 +131,7 @@ class Subdivision:
         bits = {v: 1 << i for i, v in enumerate(base.vertices)}
         object.__setattr__(self, "_bits", bits)
         object.__setattr__(self, "_cache", {"code": {f: self._mask(f) for f in distinct}})
+        self._cache["span"] = self._mask({v for f in distinct for v in f})  # OR of the codes
 
     def __setattr__(self, name, value):
         raise AttributeError("Subdivision is immutable")
@@ -212,7 +213,10 @@ class Subdivision:
         return members
 
     def restriction_complex(self, face) -> SimplicialComplex:
-        """The subcomplex lying over a base face."""
+        """The subcomplex lying over a base face: the total complex itself if
+        the face holds every carrier, unless there is none (a void total)."""
+        if self.carrier and not self._cache["span"] & ~self._mask(face):
+            return self.total
         return SimplicialComplex._generated_by([(), *self.restriction_members(face)])
 
     def restriction(self, face) -> "Subdivision":

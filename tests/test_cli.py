@@ -1,20 +1,24 @@
 import hashlib
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
 from conftest import mutate_json
 
 from localh import serialize
-from localh.cli import main
+from localh.cli import build_parser, main
 from localh.complexes import simplex
 from localh.constructions import MAX_BASE_VERTICES, InvalidTargetError, trivial_on
 from localh.permstats import derangement_enum
 from localh.posets import face_poset
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+SRC = FIXTURES.parent / "src"
 
 
 def run(capsys, *argv):
@@ -500,6 +504,32 @@ def test_enumeration_bound_not_an_integer(monkeypatch, capsys):
     assert code == 2
     assert "LOCALH_MAX_ENUM='abc'" in err
     assert out == ""
+
+
+def fresh_process(*argv):
+    """Exit code and stdout of the command run in a new interpreter."""
+    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "localh.cli", *argv], capture_output=True, env=env, timeout=120
+    )
+    return proc.returncode, proc.stdout
+
+
+@pytest.mark.parametrize("first, second", [
+    (("derangement", "--max-d", "3", "--json"), ("derangement", "--max-d", "3")),
+    (("search", "--count", "1", "--include-sd"), ("search", "--count", "1")),
+])
+def test_parser_is_built_once_and_keeps_no_state_between_calls(capsys, first, second):
+    assert build_parser() is build_parser()
+    outputs = [run(capsys, *first)[:2], run(capsys, *second)[:2]]
+    for argv, (code, out) in zip((first, second), outputs):
+        assert (code, out.encode()) == fresh_process(*argv)
+    if first[0] == "derangement":
+        assert outputs[1][1].startswith("d=0: enum [1] recurrence [1] match=true\n")
+    else:
+        assert len(outputs[0][1].splitlines()) == 2
+        assert len(outputs[1][1].splitlines()) == 1
 
 
 def test_unexpected_exception_exits_3_with_one_line(monkeypatch, capsys):

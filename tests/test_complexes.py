@@ -11,11 +11,13 @@ from localh.complexes import (
     RidgeInThreeFacetsError,
     SimplicialComplex,
     VoidComplexError,
+    _closure,
     gf2_rank,
     simplex,
     simplex_boundary,
 )
 from localh.polynomials import ONE, Polynomial
+from localh.subdivisions import Subdivision
 
 HEXAGON = SimplicialComplex(
     [("1", "2"), ("2", "3"), ("3", "4"), ("4", "5"), ("5", "6"), ("1", "6")]
@@ -178,6 +180,50 @@ def test_closure_matches_naive_scans(faces):
             SimplicialComplex(faces)
     else:
         assert SimplicialComplex(faces) == k
+
+
+def all_subsets_closure(faces):
+    """Oracle: the closure that adds every subset of each kept face, largest
+    faces first, keeping a face only if no earlier kept face holds it."""
+    kept, table = [], {}
+    for f in sorted(faces, key=len, reverse=True):
+        if f in table.get(len(f) - 1, ()):
+            continue
+        kept.append(f)
+        for k in range(len(f) + 1):
+            table.setdefault(k - 1, set()).update(combinations(f, k))
+    return kept, table
+
+
+def assert_closure_matches_all_subsets(faces):
+    kept, table = _closure(faces)
+    want_kept, want_table = all_subsets_closure(faces)
+    assert sorted(kept) == sorted(want_kept)
+    assert table == want_table
+
+
+@given(face_families)
+def test_level_closure_matches_all_subsets(faces):
+    assert_closure_matches_all_subsets(faces)
+
+
+@pytest.mark.parametrize("faces", [[], [()], [(), ()], [("a",), ("a",)], [("a", "b"), ("a",), ()]])
+def test_level_closure_matches_all_subsets_on_small_families(faces):
+    assert_closure_matches_all_subsets(faces)
+
+
+def test_level_closure_matches_all_subsets_on_totals_and_restrictions(sd_sources):
+    families = 0
+    for name, source in sd_sources:
+        if not isinstance(source, Subdivision):
+            continue
+        assert_closure_matches_all_subsets(list(source.total.facets))
+        assert_closure_matches_all_subsets(sorted(source.total.all_faces()))
+        if name.startswith("corpus"):
+            for face in source.base.all_faces():
+                assert_closure_matches_all_subsets([(), *source.restriction_members(face)])
+                families += 1
+    assert families > 200
 
 
 def test_f_vector_examples():

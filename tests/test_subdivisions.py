@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from localh.complexes import SimplicialComplex, simplex, simplex_boundary
+from localh.complexes import EMPTY, VOID, SimplicialComplex, simplex, simplex_boundary
 from localh.constructions import (
     pushable_ridges,
     push_ridge,
@@ -407,10 +407,14 @@ def oracle_monotone(s):
 
 
 def assert_matches_oracles(s):
+    span = set().union(*s.carrier.values())
     for face in s.base.all_faces():
         assert set(s.restriction_members(face)) == oracle_members(s, face)
         want = SimplicialComplex.from_faces(oracle_members(s, face) | {()})
-        assert s.restriction_complex(face) == want
+        got = s.restriction_complex(face)
+        assert got == want
+        assert got.faces_by_dim() == want.faces_by_dim()  # == reads facets only
+        assert (got is s.total) == (bool(s.carrier) and span <= set(face))
     for got, want in [
         (s.is_quasi_geometric(), oracle_quasi_geometric(s)),
         (s.is_vertex_induced(), oracle_vertex_induced(s)),
@@ -489,6 +493,25 @@ def test_carrier_queries_match_oracles_on_corrupted_carriers():
         assert_matches_oracles(s)
         monotone.add(s.validate().monotone)
     assert monotone == {True, False}
+
+
+def test_restriction_over_every_carrier_is_the_total():
+    s = push_then_stellar(trivial_on(4))
+    assert s.restriction_complex(s.base.vertices) is s.total
+    assert s.restriction_complex((*s.base.vertices, "nope")) is s.total
+    assert s.restriction(s.base.vertices) == s
+    for k in range(4):
+        for face in combinations(s.base.vertices, k):
+            assert s.restriction_complex(face) is not s.total
+
+
+@pytest.mark.parametrize("total", [VOID, EMPTY])
+def test_restriction_with_no_carrier_is_the_empty_complex(total):
+    s = Subdivision(simplex("ab"), total, {})
+    for face in [(), ("a",), ("a", "b")]:
+        got = s.restriction_complex(face)
+        assert got == EMPTY and got.faces_by_dim() == EMPTY.faces_by_dim()
+        assert got.faces_by_dim() != VOID.faces_by_dim()
 
 
 def test_restriction_members_ignores_labels_outside_the_base():
