@@ -147,154 +147,97 @@ def _bary_local_h(d: int) -> Polynomial:
     return sd_subdivision(trivial_on(d)).local_h()
 
 
+# The records that need a simplex base, in report order; every one is
+# skipped on any other base.
+SIMPLEX_RECORDS = (
+    "boundary-recursion",
+    "derangement-expansion",
+    "boundary-partial-sums",
+    "local-h-symmetry",
+    "quasi-geometric-nonnegativity",
+    "gamma",
+    "derangement-recurrence",
+    "bary-local-h",
+)
+
+
+def _compared(lhs: Polynomial, rhs: Polynomial, pad_to: int) -> tuple:
+    """Record fields of an equality, both sides padded to the same length."""
+    return lhs.padded(pad_to), rhs.padded(pad_to), lhs == rhs
+
+
+def _skipped(note: str) -> tuple:
+    return None, None, None, note
+
+
+def _simplex_fields(s: Subdivision):
+    """Yield the fields of each record of SIMPLEX_RECORDS, in order."""
+    d = len(s.base.vertices)
+    direct = s.local_h()
+    for route in (local_h_via_boundary_recursion, local_h_via_derangements):
+        try:
+            other = route(s)
+        except ValueError as exc:
+            yield direct.padded(d), None, False, str(exc)
+            continue
+        yield _compared(direct, other, max(d, other.degree or 0))
+
+    bad = []
+    for face in subsets(s.base.vertices):
+        if not face:
+            continue
+        h_f = s.subset_h(face)
+        try:
+            predicted = boundary_h_from_h(h_f, len(face))
+            matches = predicted == s.subset_boundary_h(face)
+        except ValueError:
+            matches = False
+        if not matches:
+            bad.append(face)
+    yield None, None, not bad, "" if not bad else f"fails at {','.join(bad[0])}"
+
+    sym = direct.is_symmetric(d)
+    ell = direct.padded(d)
+    sym = sym and ell[0] == 0 and (d < 1 or ell[1] >= 0)
+    yield ell, tuple(reversed(ell)), sym
+
+    if s.is_quasi_geometric():
+        yield ell, None, all(c >= 0 for c in ell)
+    else:
+        yield _skipped("not quasi-geometric")
+
+    note = f"unimodal={is_unimodal(ell)}"
+    if sym:
+        yield gamma_extract(direct, d).gammas, None, True, note
+    else:
+        yield None, None, None, note
+
+    try:
+        yield _compared(derangement_enum(d), derangement_recurrence(d), d)
+    except EnumerationBoundError:
+        yield _skipped("enumeration bound")
+
+    if d <= 7:
+        lhs_b = _bary_local_h(d)
+        try:
+            yield _compared(lhs_b, derangement_enum(d), d)
+        except EnumerationBoundError:
+            yield _skipped("enumeration bound")
+    else:
+        yield _skipped("base too large")
+
+
 def verify_all(s: Subdivision) -> IdentityReport:
     """Run every identity check that applies to the given subdivision."""
-    records: list[IdentityRecord] = []
-
     if s.base.is_pure:
         lhs = s.h_via_locality()
         rhs = s.total.h_polynomial()
-        d = max(s.base.dim + 1, lhs.degree or 0, rhs.degree or 0)
-        records.append(
-            IdentityRecord("locality", lhs.padded(d), rhs.padded(d), lhs == rhs)
-        )
+        locality = _compared(lhs, rhs, max(s.base.dim + 1, lhs.degree or 0, rhs.degree or 0))
     else:
-        records.append(IdentityRecord("locality", None, None, None, "base not pure"))
-
+        locality = _skipped("base not pure")
     if s.base_is_simplex:
-        d = len(s.base.vertices)
-        direct = s.local_h()
-        for name, route in (
-            ("boundary-recursion", local_h_via_boundary_recursion),
-            ("derangement-expansion", local_h_via_derangements),
-        ):
-            try:
-                other = route(s)
-            except ValueError as exc:
-                records.append(
-                    IdentityRecord(name, direct.padded(d), None, False, str(exc))
-                )
-                continue
-            pad_to = max(d, other.degree or 0)
-            records.append(
-                IdentityRecord(
-                    name, direct.padded(pad_to), other.padded(pad_to), direct == other
-                )
-            )
-
-        bad = []
-        for face in subsets(s.base.vertices):
-            if not face:
-                continue
-            h_f = s.subset_h(face)
-            try:
-                predicted = boundary_h_from_h(h_f, len(face))
-                matches = predicted == s.subset_boundary_h(face)
-            except ValueError:
-                matches = False
-            if not matches:
-                bad.append(face)
-        records.append(
-            IdentityRecord(
-                "boundary-partial-sums",
-                None,
-                None,
-                not bad,
-                "" if not bad else f"fails at {','.join(bad[0])}",
-            )
-        )
-
-        sym = direct.is_symmetric(d)
-        ell = direct.padded(d)
-        sym = sym and ell[0] == 0 and (d < 1 or ell[1] >= 0)
-        records.append(
-            IdentityRecord("local-h-symmetry", ell, tuple(reversed(ell)), sym)
-        )
-
-        if s.is_quasi_geometric():
-            records.append(
-                IdentityRecord(
-                    "quasi-geometric-nonnegativity",
-                    ell,
-                    None,
-                    all(c >= 0 for c in ell),
-                )
-            )
-        else:
-            records.append(
-                IdentityRecord(
-                    "quasi-geometric-nonnegativity",
-                    None,
-                    None,
-                    None,
-                    "not quasi-geometric",
-                )
-            )
-
-        gamma = gamma_extract(direct, d) if sym else None
-        records.append(
-            IdentityRecord(
-                "gamma",
-                gamma.gammas if gamma else None,
-                None,
-                True if gamma else None,
-                f"unimodal={is_unimodal(ell)}",
-            )
-        )
-
-        try:
-            enum = derangement_enum(d)
-            rec_d = derangement_recurrence(d)
-            records.append(
-                IdentityRecord(
-                    "derangement-recurrence",
-                    enum.padded(d),
-                    rec_d.padded(d),
-                    enum == rec_d,
-                )
-            )
-        except EnumerationBoundError:
-            records.append(
-                IdentityRecord(
-                    "derangement-recurrence", None, None, None, "enumeration bound"
-                )
-            )
-
-        if d <= 7:
-            lhs_b = _bary_local_h(d)
-            try:
-                rhs_b = derangement_enum(d)
-                records.append(
-                    IdentityRecord(
-                        "bary-local-h",
-                        lhs_b.padded(d),
-                        rhs_b.padded(d),
-                        lhs_b == rhs_b,
-                    )
-                )
-            except EnumerationBoundError:
-                records.append(
-                    IdentityRecord(
-                        "bary-local-h", None, None, None, "enumeration bound"
-                    )
-                )
-        else:
-            records.append(
-                IdentityRecord("bary-local-h", None, None, None, "base too large")
-            )
+        rest = _simplex_fields(s)
     else:
-        for name in (
-            "boundary-recursion",
-            "derangement-expansion",
-            "boundary-partial-sums",
-            "local-h-symmetry",
-            "quasi-geometric-nonnegativity",
-            "gamma",
-            "derangement-recurrence",
-            "bary-local-h",
-        ):
-            records.append(
-                IdentityRecord(name, None, None, None, "base not a simplex")
-            )
-
-    return IdentityReport(tuple(records))
+        rest = [_skipped("base not a simplex")] * len(SIMPLEX_RECORDS)
+    records = zip(("locality", *SIMPLEX_RECORDS), (locality, *rest), strict=True)
+    return IdentityReport(tuple(IdentityRecord(name, *fields) for name, fields in records))

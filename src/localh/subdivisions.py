@@ -168,10 +168,6 @@ class Subdivision:
             mask |= self._bits.get(v, 0)
         return mask
 
-    def _face(self, mask: int) -> Face:
-        """The base face with the given bitmask."""
-        return tuple(v for v, bit in self._bits.items() if mask & bit)
-
     def _carrier_masks(self) -> dict[Face, int]:
         """Carrier bitmask of every nonempty total face, in carrier order."""
         if "cm" not in self._cache:
@@ -192,20 +188,25 @@ class Subdivision:
             self._cache["cu"] = unions
         return self._cache["cu"]
 
-    def _base_masks(self) -> list[tuple[Face, int]]:
-        """Nonempty base faces with their masks, in (size, label) order."""
-        faces = sorted(self.base.nonempty_faces(), key=lambda f: (len(f), f))
-        return [(f, self._mask(f)) for f in faces]
+    def _carrier_buckets(self) -> dict[int, list[Face]]:
+        """Nonempty total faces grouped by carrier mask, in carrier order."""
+        if "cb" not in self._cache:
+            self._cache["cb"] = {}
+            for g, c in self._carrier_masks().items():
+                self._cache["cb"].setdefault(c, []).append(g)
+        return self._cache["cb"]
+
+    def _base_faces(self) -> dict[int, Face]:
+        """Every nonempty base face by its mask."""
+        if "bf" not in self._cache:
+            self._cache["bf"] = {self._mask(f): f for f in self.base.nonempty_faces()}
+        return self._cache["bf"]
 
     # -- restrictions ------------------------------------------------------
 
     def restriction_members(self, face) -> list[Face]:
         """Nonempty faces of the total complex carried into the given base face."""
-        if "cb" not in self._cache:
-            self._cache["cb"] = {}
-            for g, c in self._carrier_masks().items():
-                self._cache["cb"].setdefault(c, []).append(g)
-        buckets, members = self._cache["cb"], []
+        buckets, members = self._carrier_buckets(), []
         mask = sub = self._mask(face)
         while sub:  # the buckets of every submask, so members come grouped by carrier
             members += buckets.get(sub, ())
@@ -271,10 +272,9 @@ class Subdivision:
             ):
                 failures.append("boundary-betti-sphere")
         if boundary is not None:
-            faces = k.nonempty_faces()
-            cm, fmask = self._carrier_masks(), self._mask(face)
-            preimage = {g for g in faces if cm[g] == fmask}
-            interior = faces - boundary.nonempty_faces()
+            # a face carried exactly by the face lies over it, so in k
+            preimage = set(self._carrier_buckets().get(self._mask(face), ()))
+            interior = k.nonempty_faces() - boundary.nonempty_faces()
             if interior != preimage:
                 failures.append("interior-condition")
         return FaceCheck(face, tuple(failures))
@@ -284,44 +284,36 @@ class Subdivision:
     def is_quasi_geometric(self) -> PredicateResult:
         """No face may have all its vertex carriers inside a smaller base face.
 
-        A face fails through its union alone, so each dimension tests its
-        distinct unions and scans its faces only when one of them fails.
+        In a simplicial base the least face that holds the union u of a
+        face's vertex carriers is u itself when u is a face, and there is
+        none otherwise; every base face that holds u contains it.  So a face
+        e fails exactly when u is a base face smaller than e.  Each dimension
+        tests its distinct unions and scans its faces only when one fails.
         Witnesses, here and in ``is_vertex_induced``, are the (size,
-        label)-least failing face and the first base face in (size, label)
-        order that shows the failure.
+        label)-least failing face and its union u.
         """
-        base = None if self.base_is_simplex else self._base_masks()
+        faces = self._base_faces()
         for size, union in enumerate(self._carrier_unions(), 1):
-            failing = {}
-            for u in set(union.values()):
-                if base is None:
-                    f = self._face(u) if u.bit_count() < size else None
-                else:
-                    f = next((f for f, fm in base if len(f) < size and not u & ~fm), None)
-                if f is not None:
-                    failing[u] = f
+            failing = {u for u in set(union.values()) if u.bit_count() < size and u in faces}
             if failing:
                 e = min(e for e, u in union.items() if u in failing)
-                return PredicateResult(False, (e, failing[union[e]]))
+                return PredicateResult(False, (e, faces[union[e]]))
         return PredicateResult(True)
 
     def is_vertex_induced(self) -> PredicateResult:
-        """Whenever all vertices of a face lie over F, the face itself must too."""
-        cm = self._carrier_masks()
-        base = None if self.base_is_simplex else self._base_masks()
+        """Whenever all vertices of a face lie over F, the face itself must too.
+
+        Every base face that holds the union u of a face's vertex carriers
+        contains u, so a face fails exactly when u is a base face that does
+        not hold its carrier.
+        """
+        cm, faces = self._carrier_masks(), self._base_faces()
         for union in self._carrier_unions():
-            if base is None:
-                bad = [e for e, u in union.items() if cm[e] != u]
-            else:
-                bad = [e for e, u in union.items()
-                       if any(not u & ~fm and cm[e] & ~fm for _, fm in base)]
+            # the test needs only cm[e] & ~u; != clears most faces more cheaply
+            bad = [e for e, u in union.items() if cm[e] != u and cm[e] & ~u and u in faces]
             if bad:
                 e = min(bad)
-                u, c = union[e], cm[e]
-                if base is None:
-                    return PredicateResult(False, (e, self._face(u)))
-                f = next(f for f, fm in base if not u & ~fm and c & ~fm)
-                return PredicateResult(False, (e, f))
+                return PredicateResult(False, (e, faces[union[e]]))
         return PredicateResult(True)
 
     # -- local h ---------------------------------------------------------------
@@ -373,13 +365,16 @@ class Subdivision:
         """Sum of local h-polynomials of restrictions weighted by link h-polynomials.
 
         Defined for any pure base; the contract is equality with the
-        h-polynomial of the total complex.
+        h-polynomial of the total complex.  On a simplex base every link is
+        a simplex with h = 1, so the sum telescopes to the h-polynomial
+        counted from the carrier map over the full vertex set: the identity
+        record then compares that count with the total's h and cannot fail
+        (open item 4 of ROADMAP.md).
         """
         if not self.base.is_pure:
             raise NotPureError("locality formula requires a pure base")
         if self.base_is_simplex:
-            table = self._subset_h_table()
-            return sum((_alternating_subset_sum(table, m) for m in table), ZERO)
+            return self._subset_h_table()[(1 << len(self.base.vertices)) - 1]
         faces = sorted(self.base.all_faces())
         table = {self._mask(f): self.restriction_complex(f).h_polynomial() for f in faces}
         return sum(

@@ -1,6 +1,6 @@
 import pytest
 
-from localh.complexes import simplex_boundary
+from localh.complexes import SimplicialComplex, simplex_boundary
 from localh.constructions import (
     push_then_stellar,
     random_subdivision,
@@ -110,6 +110,23 @@ def test_verify_all_nonsimplex_base_skips():
     assert locality.match is True
     recursion = next(r for r in report.records if r.name == "boundary-recursion")
     assert recursion.skipped
+
+
+def test_verify_all_non_pure_base_skips_every_record():
+    base = SimplicialComplex([("a", "b", "c"), ("c", "d")])
+    s = stellar_facet(Subdivision.trivial(base), ("a", "b", "c"))
+    report = verify_all(s)
+    assert [(r.name, r.skipped, r.note) for r in report.records] == [
+        ("locality", True, "base not pure"),
+        ("boundary-recursion", True, "base not a simplex"),
+        ("derangement-expansion", True, "base not a simplex"),
+        ("boundary-partial-sums", True, "base not a simplex"),
+        ("local-h-symmetry", True, "base not a simplex"),
+        ("quasi-geometric-nonnegativity", True, "base not a simplex"),
+        ("gamma", True, "base not a simplex"),
+        ("derangement-recurrence", True, "base not a simplex"),
+        ("bary-local-h", True, "base not a simplex"),
+    ]
 
 
 def test_verify_all_detects_mismatch():
