@@ -12,7 +12,7 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from localh import serialize  # noqa: E402
-from localh.complexes import SimplicialComplex  # noqa: E402
+from localh.complexes import SimplicialComplex, simplex  # noqa: E402
 from localh.constructions import (  # noqa: E402
     push_ridge,
     push_then_stellar,
@@ -119,6 +119,29 @@ def main() -> None:
         serialize.poset_to_obj(face_poset(stellar)),
         str(FIXTURES / "stellar_triangle_poset.json"),
     )
+
+    # a non-simplicial carrier-equipped poset: the triangle abc with m on ab
+    # and n on ac, cut by the chord mn into the triangle amn and the
+    # quadrilateral mbcn
+    cells = {
+        "a": "a", "b": "b", "c": "c", "m": "ab", "n": "ac",
+        "a-m": "ab", "b-m": "ab", "b-c": "bc", "c-n": "ac", "a-n": "ac",
+        "m-n": "abc", "a-m-n": "abc", "b-c-m-n": "abc",
+    }
+    chord = FacePoset(
+        elements=tuple((e, min(e.count("-"), 2)) for e in cells),
+        covers=(
+            ("a", "a-m"), ("m", "a-m"), ("b", "b-m"), ("m", "b-m"),
+            ("b", "b-c"), ("c", "b-c"), ("c", "c-n"), ("n", "c-n"),
+            ("a", "a-n"), ("n", "a-n"), ("m", "m-n"), ("n", "m-n"),
+            ("a-m", "a-m-n"), ("a-n", "a-m-n"), ("m-n", "a-m-n"),
+            ("b-m", "b-c-m-n"), ("b-c", "b-c-m-n"), ("c-n", "b-c-m-n"),
+            ("m-n", "b-c-m-n"),
+        ),
+        carrier={e: tuple(f) for e, f in cells.items()},
+        base=simplex(("a", "b", "c")),
+    )
+    serialize.dump_json(serialize.poset_to_obj(chord), str(FIXTURES / "chord_triangle_poset.json"))
 
     print(f"wrote fixtures to {FIXTURES}")
 

@@ -186,37 +186,50 @@ def cmd_cdindex(args) -> int:
     return OK
 
 
-def _search_record(seed: int, args) -> dict:
+def _search_record(seed: int, args) -> list[dict]:
     s, word = constructions.random_subdivision(seed, args.max_d, args.steps)
-    records = [(s, word)]
+    d = len(s.base.vertices)
+    out = [_record(seed, word, d, *_invariants(s))]
     if args.include_sd:
         sd_word = constructions.OpWord(
             word.seed_vertices, word.steps + (constructions.OpStep("sd"),)
         )
-        records.append((posets.sd_subdivision(s), sd_word))
-    out = []
-    for sub, w in records:
-        d = len(sub.base.vertices)
-        local = sub.local_h()
-        padded = local.padded(d)
-        qg = sub.is_quasi_geometric()
-        vi = sub.is_vertex_induced()
-        unimodal = is_unimodal(padded)
-        rec = {
-            "seed": seed,
-            "d": d,
-            "opword": serialize.opword_to_obj(w),
-            "local_h": list(padded),
-            "gamma": list(gamma_extract(local, d).gammas),
-            "quasi_geometric": qg.holds,
-            "vertex_induced": vi.holds,
-            "unimodal": unimodal,
-            "conjecture_relevant": vi.holds and not unimodal,
-        }
-        if rec["conjecture_relevant"]:
-            rec["instance"] = serialize.subdivision_to_obj(sub)
-        out.append(rec)
+        out.append(_record(seed, sd_word, d, *_invariants(s, sd=True)))
     return out
+
+
+def _invariants(s: Subdivision, sd: bool = False) -> tuple:
+    """Local h, quasi-geometric and vertex-induced verdicts and an instance
+    thunk, of s or of sd(s); those of sd(s) are read off s's chain counts and
+    carriers if they are monotone.  A chain's carrier is its top's, so sd(s)
+    is vertex-induced and the union of a chain's vertex carriers is the top's
+    carrier; a chain of k cells fits under a top of k or more vertices, so
+    sd(s) is quasi-geometric exactly when no face of s has a smaller carrier."""
+    if sd and s.is_monotone():
+        qg = all(len(f) >= len(g) for g, f in s.carrier.items())
+        return posets.bary_local_h(s), qg, True, lambda: posets.sd_subdivision(s)
+    sub = posets.sd_subdivision(s) if sd else s
+    qg, vi = sub.is_quasi_geometric().holds, sub.is_vertex_induced().holds
+    return sub.local_h(), qg, vi, lambda: sub
+
+
+def _record(seed: int, word, d: int, local, qg: bool, vi: bool, instance) -> dict:
+    padded = local.padded(d)
+    unimodal = is_unimodal(padded)
+    rec = {
+        "seed": seed,
+        "d": d,
+        "opword": serialize.opword_to_obj(word),
+        "local_h": list(padded),
+        "gamma": list(gamma_extract(local, d).gammas),
+        "quasi_geometric": qg,
+        "vertex_induced": vi,
+        "unimodal": unimodal,
+        "conjecture_relevant": vi and not unimodal,
+    }
+    if rec["conjecture_relevant"]:
+        rec["instance"] = serialize.subdivision_to_obj(instance())
+    return rec
 
 
 def cmd_search(args) -> int:

@@ -235,15 +235,20 @@ class Subdivision:
 
     def validate(self) -> ValidityReport:
         """Run the weak ball check on every restriction; failures land in the report."""
-        cm = self._carrier_masks()
-        monotone = all(
-            not cm[g[:i] + g[i + 1 :]] & ~c
-            for g, c in cm.items()
-            if len(g) > 1
-            for i in range(len(g))
-        )
         checks = tuple(self._check_face(f) for f in sorted(self.base.nonempty_faces()))
-        return ValidityReport(checks, monotone)
+        return ValidityReport(checks, self.is_monotone())
+
+    def is_monotone(self) -> bool:
+        """No face's carrier leaves that of a face one dimension up holding it."""
+        if "mono" not in self._cache:
+            cm = self._carrier_masks()
+            self._cache["mono"] = all(
+                not cm[g[:i] + g[i + 1 :]] & ~c
+                for g, c in cm.items()
+                if len(g) > 1
+                for i in range(len(g))
+            )
+        return self._cache["mono"]
 
     def _check_face(self, face: Face) -> FaceCheck:
         failures: list[str] = []
@@ -323,34 +328,13 @@ class Subdivision:
             raise BaseNotSimplexError("base complex is not a simplex")
 
     def _subset_h_table(self) -> dict[int, Polynomial]:
-        """h-polynomial of the restriction to every vertex subset (simplex base).
-
-        Keyed by subset mask.  One pass counts the faces per (carrier mask,
-        size); a subset's f-vector is the sum of the counts of its submasks,
-        taken for every subset at once by adding rows across one vertex bit
-        at a time.
-        """
-        if "ht" in self._cache:
-            return self._cache["ht"]
-        self._require_simplex_base()
-        cm = self._carrier_masks()
-        n = len(self.base.vertices)
-        counts = Counter(zip(cm.values(), map(len, cm)))
-        top = max((size for _, size in counts), default=0)
-        rows = [[0] * (top + 1) for _ in range(1 << n)]
-        for (mask, size), count in counts.items():
-            rows[mask][size] = count
-        for k in range(n):
-            bit = 1 << k
-            for mask in range(1 << n):
-                if mask & bit:
-                    rows[mask] = [a + b for a, b in zip(rows[mask], rows[mask ^ bit])]
-        table = {}
-        for mask, row in enumerate(rows):
-            size = max((k for k in range(1, top + 1) if row[k]), default=0)
-            table[mask] = h_from_f([1] + row[1 : size + 1])
-        self._cache["ht"] = table
-        return table
+        """h-polynomial of the restriction to every vertex subset, by mask."""
+        if "ht" not in self._cache:
+            self._require_simplex_base()
+            cm = self._carrier_masks()
+            counts = Counter(zip(cm.values(), map(len, cm)))
+            self._cache["ht"] = _h_table(counts, len(self.base.vertices))
+        return self._cache["ht"]
 
     def local_h(self) -> Polynomial:
         """Alternating sum of restriction h-polynomials over all vertex subsets."""
@@ -402,6 +386,26 @@ class Subdivision:
             b = self.restriction_complex(face).boundary()
             self._cache[key] = ZERO if b.is_void else b.h_polynomial()
         return self._cache[key]
+
+
+def _h_table(counts: Counter, n: int) -> dict[int, Polynomial]:
+    """h-polynomial per subset mask of n base vertices, from face counts per
+    (carrier mask, size): a subset's f-vector sums the counts of its submasks,
+    for every subset at once by adding rows across one vertex bit at a time."""
+    top = max((size for _, size in counts), default=0)
+    rows = [[0] * (top + 1) for _ in range(1 << n)]
+    for (mask, size), count in counts.items():
+        rows[mask][size] = count
+    for k in range(n):
+        bit = 1 << k
+        for mask in range(1 << n):
+            if mask & bit:
+                rows[mask] = [a + b for a, b in zip(rows[mask], rows[mask ^ bit])]
+    table = {}
+    for mask, row in enumerate(rows):
+        size = max((k for k in range(1, top + 1) if row[k]), default=0)
+        table[mask] = h_from_f([1] + row[1 : size + 1])
+    return table
 
 
 def _alternating_subset_sum(table: dict[int, Polynomial], mask: int) -> Polynomial:

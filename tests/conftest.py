@@ -17,6 +17,7 @@ from itertools import combinations
 import pytest
 
 from localh import serialize
+from localh.cli import _invariants, _record
 from localh.constructions import random_subdivision, trivial_on
 from localh.identities import (
     boundary_h_from_h,
@@ -24,7 +25,14 @@ from localh.identities import (
     local_h_via_derangements,
 )
 from localh.polynomials import ZERO, Polynomial
-from localh.posets import CdPolynomial, ek_difference, face_poset, sd_complex, sd_subdivision
+from localh.posets import (
+    CdPolynomial,
+    bary_local_h,
+    ek_difference,
+    face_poset,
+    sd_complex,
+    sd_subdivision,
+)
 
 CORPUS_SEEDS = range(100)
 CORPUS_MAX_D = 5
@@ -42,6 +50,10 @@ class MemberSummary:
     quasi_geometric: bool
     vertex_induced: bool
     failures: list[str] = field(default_factory=list)
+    # bary rows only: bary_local_h of the member, and the search record of
+    # sd read off the member's chain counts next to the one of the built sd
+    chain_local_h: tuple[int, ...] | None = None
+    sd_records: tuple[dict, dict] | None = None
 
 
 def _identity_failures(s) -> list[str]:
@@ -111,7 +123,7 @@ def _summaries():
     ek_cache: dict = {}
     records = []
     for seed in CORPUS_SEEDS:
-        s, _ = random_subdivision(seed, CORPUS_MAX_D, seed % (CORPUS_MAX_STEPS + 1))
+        s, word = random_subdivision(seed, CORPUS_MAX_D, seed % (CORPUS_MAX_STEPS + 1))
         bary = sd_subdivision(s)
         for sub, is_bary in ((s, False), (bary, True)):
             d = len(sub.base.vertices)
@@ -135,6 +147,11 @@ def _summaries():
                     failures=failures,
                 )
             )
+        records[-1].chain_local_h = bary_local_h(s).padded(d)
+        records[-1].sd_records = (
+            _record(seed, word, d, *_invariants(s, sd=True)),
+            _record(seed, word, d, *_invariants(bary)),
+        )
     return records
 
 

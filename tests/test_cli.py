@@ -10,12 +10,18 @@ from collections import Counter
 import pytest
 from conftest import mutate_json
 
-from localh import serialize
+from localh import cli, constructions, posets, serialize
 from localh.cli import build_parser, main
 from localh.complexes import simplex
-from localh.constructions import MAX_BASE_VERTICES, InvalidTargetError, trivial_on
+from localh.constructions import (
+    MAX_BASE_VERTICES,
+    InvalidTargetError,
+    stellar_facet,
+    trivial_on,
+)
 from localh.permstats import derangement_enum
 from localh.posets import face_poset
+from localh.subdivisions import Subdivision
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 SRC = FIXTURES.parent / "src"
@@ -40,6 +46,8 @@ def run(capsys, *argv):
 # recorded before the simplex-only records were named once.  The compute
 # entry for broken_stellar_triangle moved when is_vertex_induced stopped
 # failing a face whose carrier lies inside the union of its vertex carriers.
+# The 40-seed search stream and the chord triangle entries were recorded
+# before the sd search records moved to chain counts.
 # A refactor must keep every one byte-identical.
 GOLDEN = [
     (("compute", "bary_stellar_triangle.json"), 0,
@@ -140,6 +148,13 @@ GOLDEN = [
      "ffb3b95e6548077e8d020ad2b3a8b85405a1f43b50420baf471f6c7718419673"),
     (("derangement", "--max-d", "8", "--json"), 0,
      "a2c8270c713b66a840d00c24668b43aa7fd622072e321d9b572939dd701bc7b4"),
+    (("search", "--seed", "0", "--count", "40", "--max-d", "6", "--steps", "6",
+      "--include-sd"), 0,
+     "6afd47367274e049d7190cbf55d29d77f93f3b99f2887ece1dbced4be9bc70d4"),
+    (("bary", "chord_triangle_poset.json"), 0,
+     "82575f1853ac0646f654c0a4972007eeedad2d9a9e47b4f2899f35f43f378a4a"),
+    (("cdindex", "chord_triangle_poset.json"), 0,
+     "813383da3fc9eef17138f805f138f44556a2f64d015b0ae1690a587ad45e58ea"),
 ]
 
 # Inputs the golden table names that are not shipped: the face poset of the
@@ -476,6 +491,65 @@ def test_search_tally_counts_every_generated_record(capsys):
     printed = [json.loads(line) for line in out.splitlines()]
     induced = [row for row in tally if row["vertex_induced"]]
     assert sum(row["count"] for row in induced) == len(printed)
+
+
+def test_sd_search_record_from_chain_counts_matches_the_built_sd(corpus_summaries):
+    pairs = [m.sd_records for m in corpus_summaries if m.bary]
+    assert len(pairs) == 100
+    assert [chain["seed"] for chain, built in pairs if chain != built] == []
+
+
+def _stellar_with_carriers(changes):
+    """The stellar triangle with some carriers replaced."""
+    s = stellar_facet(trivial_on(3))
+    return Subdivision(s.base, s.total, {**s.carrier, **changes})
+
+
+# broken_stellar_triangle and the moved edge are not monotone, so their sd
+# fields come from the built sd; the hand-made maps fail the record built
+# without that fallback, or without the carrier-size condition
+SD_RECORD_INPUTS = {
+    **{
+        name: serialize.subdivision_from_obj(serialize.load_json(str(FIXTURES / f"{name}.json")))
+        for name in (
+            "broken_stellar_triangle", "stellar_triangle", "double_push",
+            "nonunimodal_quasigeometric",
+        )
+    },
+    # the edge v1z1 is carried by a vertex, yet every chain of sd carries
+    # its vertex carriers into a base face big enough for it
+    "edge_moved_off_its_carrier": _stellar_with_carriers({("v1", "z1"): ("v2",)}),
+    # monotone, but z1 and v1z1 are carried by v1, so the chain v1 < v1z1
+    # of sd has both vertex carriers inside a smaller base face
+    "interior_vertex_collapsed": _stellar_with_carriers({
+        ("z1",): ("v1",), ("v1", "z1"): ("v1",),
+        ("v2", "z1"): ("v1", "v2"), ("v3", "z1"): ("v1", "v3"),
+    }),
+}
+
+
+@pytest.mark.parametrize("name", SD_RECORD_INPUTS)
+def test_sd_search_fields_from_chain_counts_match_the_built_sd(name):
+    s = SD_RECORD_INPUTS[name]
+    built = posets.sd_subdivision(s)
+    chain, want = cli._invariants(s, sd=True), cli._invariants(built)
+    assert chain[:3] == want[:3]
+    assert chain[3]() == built
+    d = len(s.base.vertices)
+    if want[0].is_symmetric(d):  # else gamma, and so the record, is undefined
+        word = constructions.OpWord(d, ())
+        assert cli._record(0, word, d, *chain) == cli._record(0, word, d, *want)
+
+
+def test_sd_search_fields_are_read_off_the_member_when_carriers_are_monotone(monkeypatch):
+    s, _ = constructions.random_subdivision(3, 5, 4)
+    want = cli._invariants(posets.sd_subdivision(s))
+
+    def refuse(source):
+        raise AssertionError("sd was built")
+
+    monkeypatch.setattr(posets, "sd_subdivision", refuse)
+    assert cli._invariants(s, sd=True)[:3] == want[:3]
 
 
 def test_search_has_no_workers_option(capsys):

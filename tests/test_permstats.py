@@ -55,6 +55,29 @@ def test_derangement_symmetric_unimodal_gamma_nonneg(d):
     assert gamma_extract(p, d).is_nonnegative
 
 
+def zhang_recurrence(n):
+    """Derangement polynomials by Zhang's excedance recurrence,
+    d_n = x[(n-1) d_{n-1} + (1-x) d'_{n-1}] + (n-1) x d_{n-2},
+    with d_0 = 1 and d_1 = 0: a route independent of the one in permstats."""
+    x, one_minus_x = Polynomial([0, 1]), Polynomial([1, -1])
+    out = [ONE, ZERO]
+    for m in range(2, n + 1):
+        prev = out[-1]
+        derivative = Polynomial([i * c for i, c in enumerate(prev.coeffs)][1:])
+        out.append(x * ((m - 1) * prev + one_minus_x * derivative) + (m - 1) * x * out[-2])
+    return out[: n + 1]
+
+
+def test_zhang_recurrence_matches_the_derangement_recurrence():
+    for n, p in enumerate(zhang_recurrence(20)):
+        assert p == derangement_recurrence(n), n
+
+
+def test_zhang_recurrence_is_gamma_nonnegative():
+    for n, p in enumerate(zhang_recurrence(30)):
+        assert gamma_extract(p, n).is_nonnegative, n
+
+
 def test_bound_guard(monkeypatch):
     with pytest.raises(EnumerationBoundError):
         derangement_enum(10)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from localh import serialize
 from localh.complexes import SimplicialComplex, simplex
 from localh.constructions import random_subdivision, stellar_facet, trivial_on
+from localh.permstats import derangement_recurrence
 from localh.polynomials import ZERO, Polynomial, gamma_extract
 from localh.posets import (
     AbPolynomial,
@@ -17,6 +18,7 @@ from localh.posets import (
     NotExpressible,
     UngradedPosetError,
     ab_index,
+    bary_local_h,
     boundary_poset,
     cd_extract,
     cd_word_degree,
@@ -26,7 +28,7 @@ from localh.posets import (
     sd_complex,
     sd_subdivision,
 )
-from localh.subdivisions import Subdivision
+from localh.subdivisions import BaseNotSimplexError, Subdivision
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -153,6 +155,44 @@ def test_sd_restriction_commutes():
 def test_sd_requires_carriers():
     with pytest.raises(ValueError):
         sd_subdivision(SQUARE_CELL)
+
+
+# -- bary_local_h against the built barycentric subdivision --------------------
+
+
+def test_bary_local_h_matches_the_built_sd(sd_sources):
+    names = set()
+    for name, source in sd_sources:
+        if isinstance(source, FacePoset) and source.carrier is None:
+            continue
+        built = sd_subdivision(source)
+        if not built.base_is_simplex:
+            with pytest.raises(BaseNotSimplexError):
+                bary_local_h(source)
+            continue
+        assert bary_local_h(source) == built.local_h(), name
+        names.add(name)
+    assert {"chord_triangle_poset", "stellar_triangle_poset", "corpus19"} <= names
+
+
+def test_bary_local_h_matches_the_built_sd_on_the_corpus(corpus_summaries):
+    bary = [m for m in corpus_summaries if m.bary]
+    assert len(bary) == 100
+    assert [m.seed for m in bary if m.chain_local_h != m.local_h] == []
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_bary_local_h_of_the_simplex_is_the_derangement_polynomial(n):
+    assert bary_local_h(trivial_on(n)) == derangement_recurrence(n)
+
+
+def test_bary_local_h_requires_carriers_on_base_faces():
+    with pytest.raises(ValueError, match="carriers are required"):
+        bary_local_h(SQUARE_CELL)
+    p = face_poset(trivial_on(2))
+    p.carrier["v1"] = ("v3",)
+    with pytest.raises(ValueError, match="not a base face"):
+        bary_local_h(p)
 
 
 # -- the chain DP against the maximal-chain walk -------------------------------

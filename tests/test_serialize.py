@@ -204,7 +204,7 @@ def test_make_fixtures_regenerates_the_shipped_files(tmp_path, monkeypatch):
     monkeypatch.setattr(make_fixtures, "FIXTURES", tmp_path)
     make_fixtures.main()
     shipped = sorted(p.name for p in FIXTURES.glob("*.json"))
-    assert len(shipped) == 14
+    assert len(shipped) == 15
     assert sorted(p.name for p in tmp_path.iterdir()) == shipped
     for name in shipped:
         assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes(), name
