@@ -31,6 +31,7 @@ import re
 from dataclasses import dataclass
 
 from .complexes import Face, SimplicialComplex, canonical_face, simplex, subsets
+from .posets import sd_subdivision
 from .subdivisions import Subdivision
 
 _FRESH_RE = re.compile(r"^[wzmpq](\d+)$")
@@ -191,8 +192,6 @@ OPS = {
 
 def apply_step(s: Subdivision, step: OpStep) -> Subdivision:
     if step.op == "sd":
-        from .posets import sd_subdivision
-
         return sd_subdivision(s)
     if step.op not in OPS:
         raise ValueError(f"unknown op code {step.op!r}")

@@ -20,8 +20,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .complexes import Face, subsets
+from .constructions import trivial_on
 from .permstats import EnumerationBoundError, derangement_enum, derangement_recurrence
 from .polynomials import ONE, ZERO, Polynomial, gamma_extract, geometric_block, is_unimodal
+from .posets import bary_local_h
 from .subdivisions import BaseNotSimplexError, Subdivision
 
 
@@ -141,10 +143,7 @@ class IdentityReport:
 @lru_cache(maxsize=None)
 def _bary_local_h(d: int) -> Polynomial:
     """Local h of the barycentric subdivision of the simplex on d vertices."""
-    from .constructions import trivial_on
-    from .posets import sd_subdivision
-
-    return sd_subdivision(trivial_on(d)).local_h()
+    return bary_local_h(trivial_on(d))
 
 
 # The records that need a simplex base, in report order; every one is
@@ -213,18 +212,12 @@ def _simplex_fields(s: Subdivision):
         yield None, None, None, note
 
     try:
-        yield _compared(derangement_enum(d), derangement_recurrence(d), d)
+        enum = derangement_enum(d)
     except EnumerationBoundError:
-        yield _skipped("enumeration bound")
-
-    if d <= 7:
-        lhs_b = _bary_local_h(d)
-        try:
-            yield _compared(lhs_b, derangement_enum(d), d)
-        except EnumerationBoundError:
-            yield _skipped("enumeration bound")
-    else:
-        yield _skipped("base too large")
+        yield from [_skipped("enumeration bound")] * 2
+        return
+    yield _compared(enum, derangement_recurrence(d), d)
+    yield _compared(_bary_local_h(d), enum, d)
 
 
 def verify_all(s: Subdivision) -> IdentityReport:

@@ -3,54 +3,30 @@ polynomials via excedances, plus the boundary-difference recurrence for the
 latter.
 
 Enumeration and recurrence are deliberately separate code paths so that they
-can check each other.  Exhaustive enumeration is capped (default 9, override
-with the LOCALH_MAX_ENUM environment variable, hard ceiling 12).
+can check each other.  Exhaustive enumeration is capped at S_9 (``ENUM_BOUND``);
+the recurrence has no bound.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from functools import lru_cache
 from itertools import permutations
 
 from .polynomials import ONE, Polynomial, geometric_block
 
-DEFAULT_ENUM_BOUND = 9
-HARD_ENUM_CEILING = 12
-ENUM_BOUND_ENV = "LOCALH_MAX_ENUM"
+ENUM_BOUND = 9
 
 
 class EnumerationBoundError(ValueError):
-    """Raised when an exhaustive enumeration would exceed the configured bound."""
-
-
-def enumeration_bound() -> int:
-    raw = os.environ.get(ENUM_BOUND_ENV)
-    if raw is None:
-        return DEFAULT_ENUM_BOUND
-    try:
-        bound = int(raw)
-    except ValueError:
-        raise EnumerationBoundError(
-            f"{ENUM_BOUND_ENV}={raw!r} is not an integer"
-        ) from None
-    if bound > HARD_ENUM_CEILING:
-        raise EnumerationBoundError(
-            f"{ENUM_BOUND_ENV}={bound} exceeds the hard ceiling {HARD_ENUM_CEILING}"
-        )
-    return bound
+    """Raised when an exhaustive enumeration would exceed ``ENUM_BOUND``."""
 
 
 def _check_bound(d: int):
     if d < 0:
         raise ValueError("order must be nonnegative")
-    bound = enumeration_bound()
-    if d > bound:
-        raise EnumerationBoundError(
-            f"enumeration over S_{d} exceeds the bound {bound}; "
-            f"raise {ENUM_BOUND_ENV} (hard ceiling {HARD_ENUM_CEILING})"
-        )
+    if d > ENUM_BOUND:
+        raise EnumerationBoundError(f"enumeration over S_{d} exceeds the bound {ENUM_BOUND}")
 
 
 @lru_cache(maxsize=None)

@@ -289,22 +289,37 @@ def flag_vectors(p: FacePoset) -> tuple[dict[frozenset, int], dict[frozenset, in
 
 
 @dataclass(frozen=True)
-class AbPolynomial:
-    """Noncommutative polynomial in a, b; keys are words of one fixed length."""
+class _WordPolynomial:
+    """Noncommutative polynomial: sorted (word, coefficient) pairs of one degree."""
 
     degree: int
     coeffs: tuple[tuple[str, int], ...]
 
     @classmethod
-    def from_dict(cls, degree: int, coeffs: dict[str, int]) -> "AbPolynomial":
+    def from_dict(cls, degree: int, coeffs: dict[str, int]) -> "_WordPolynomial":
         clean = {w: c for w, c in coeffs.items() if c}
         for w in clean:
-            if len(w) != degree or set(w) - {"a", "b"}:
-                raise ValueError(f"bad ab-word {w!r} for degree {degree}")
+            cls._check_word(w, degree)
         return cls(degree, tuple(sorted(clean.items())))
 
     def as_dict(self) -> dict[str, int]:
         return dict(self.coeffs)
+
+    def __str__(self) -> str:
+        if not self.coeffs:
+            return "0"
+        return " + ".join(
+            (w if c == 1 else f"{c}{w}") for w, c in self.coeffs
+        ).replace("+ -", "- ")
+
+
+class AbPolynomial(_WordPolynomial):
+    """Noncommutative polynomial in a, b; keys are words of one fixed length."""
+
+    @staticmethod
+    def _check_word(w: str, degree: int):
+        if len(w) != degree or set(w) - {"a", "b"}:
+            raise ValueError(f"bad ab-word {w!r} for degree {degree}")
 
     def __sub__(self, other: "AbPolynomial") -> "AbPolynomial":
         if self.degree != other.degree:
@@ -326,31 +341,14 @@ class AbPolynomial:
             out[w.count("b")] += c
         return Polynomial(out)
 
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        return " + ".join(
-            (w if c == 1 else f"{c}{w}") for w, c in self.coeffs
-        ).replace("+ -", "- ")
 
-
-@dataclass(frozen=True)
-class CdPolynomial:
+class CdPolynomial(_WordPolynomial):
     """Noncommutative polynomial in c (degree 1) and d (degree 2)."""
 
-    degree: int
-    coeffs: tuple[tuple[str, int], ...]
-
-    @classmethod
-    def from_dict(cls, degree: int, coeffs: dict[str, int]) -> "CdPolynomial":
-        clean = {w: c for w, c in coeffs.items() if c}
-        for w in clean:
-            if cd_word_degree(w) != degree:
-                raise ValueError(f"cd-word {w!r} has degree {cd_word_degree(w)}")
-        return cls(degree, tuple(sorted(clean.items())))
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(self.coeffs)
+    @staticmethod
+    def _check_word(w: str, degree: int):
+        if cd_word_degree(w) != degree:
+            raise ValueError(f"cd-word {w!r} has degree {cd_word_degree(w)}")
 
     @property
     def is_nonnegative(self) -> bool:
@@ -372,13 +370,6 @@ class CdPolynomial:
                 term = term * (c_value if letter == "c" else d_value)
             total = total + coeff * term
         return total
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        return " + ".join(
-            (w if c == 1 else f"{c}{w}") for w, c in self.coeffs
-        ).replace("+ -", "- ")
 
 
 @dataclass(frozen=True)

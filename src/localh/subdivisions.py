@@ -353,7 +353,7 @@ class Subdivision:
         a simplex with h = 1, so the sum telescopes to the h-polynomial
         counted from the carrier map over the full vertex set: the identity
         record then compares that count with the total's h and cannot fail
-        (open item 4 of ROADMAP.md).
+        (open item 6 of ROADMAP.md).
         """
         if not self.base.is_pure:
             raise NotPureError("locality formula requires a pure base")

@@ -19,7 +19,6 @@ from localh.constructions import (
     stellar_facet,
     trivial_on,
 )
-from localh.permstats import derangement_enum
 from localh.posets import face_poset
 from localh.subdivisions import Subdivision
 
@@ -581,13 +580,11 @@ def test_poset_carrier_given_as_string_is_an_input_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_enumeration_bound_not_an_integer(monkeypatch, capsys):
-    derangement_enum.cache_clear()
-    monkeypatch.setenv("LOCALH_MAX_ENUM", "abc")
-    code, out, err = run(capsys, "derangement", "--max-d", "3")
+def test_derangement_beyond_the_enumeration_bound_is_an_input_error(capsys):
+    code, out, err = run(capsys, "derangement", "--max-d", "10")
     assert code == 2
-    assert "LOCALH_MAX_ENUM='abc'" in err
     assert out == ""
+    assert err == "input error: enumeration over S_10 exceeds the bound 9\n"
 
 
 def fresh_process(*argv):

@@ -1,5 +1,6 @@
 import pytest
 
+from localh import identities, posets
 from localh.complexes import SimplicialComplex, simplex_boundary
 from localh.constructions import (
     push_then_stellar,
@@ -13,6 +14,7 @@ from localh.identities import (
     local_h_via_derangements,
     verify_all,
 )
+from localh.permstats import derangement_recurrence
 from localh.polynomials import ONE, Polynomial
 from localh.posets import sd_subdivision
 from localh.subdivisions import Subdivision
@@ -127,6 +129,26 @@ def test_verify_all_non_pure_base_skips_every_record():
         ("derangement-recurrence", True, "base not a simplex"),
         ("bary-local-h", True, "base not a simplex"),
     ]
+
+
+def test_derangement_records_run_to_the_enumeration_bound_without_building_sd(monkeypatch):
+    def no_build(source):
+        raise AssertionError("verify_all built a barycentric subdivision")
+
+    monkeypatch.setattr(posets, "sd_subdivision", no_build)
+    identities._bary_local_h.cache_clear()
+    report = verify_all(trivial_on(8))
+    assert report.all_match
+    records = {r.name: r for r in report.records}
+    d8 = derangement_recurrence(8).padded(8)
+    assert records["bary-local-h"] == identities.IdentityRecord("bary-local-h", d8, d8, True)
+    assert records["derangement-recurrence"].match is True
+
+    records = {r.name: r for r in verify_all(trivial_on(10)).records}
+    for name in ("derangement-recurrence", "bary-local-h"):
+        assert records[name] == identities.IdentityRecord(
+            name, None, None, None, "enumeration bound"
+        )
 
 
 def test_verify_all_detects_mismatch():

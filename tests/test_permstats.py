@@ -6,7 +6,6 @@ from localh.permstats import (
     EnumerationBoundError,
     derangement_enum,
     derangement_recurrence,
-    enumeration_bound,
     eulerian_polynomial,
 )
 from localh.polynomials import ONE, ZERO, Polynomial, gamma_extract, is_unimodal
@@ -78,14 +77,9 @@ def test_zhang_recurrence_is_gamma_nonnegative():
         assert gamma_extract(p, n).is_nonnegative, n
 
 
-def test_bound_guard(monkeypatch):
+def test_bound_guard():
     with pytest.raises(EnumerationBoundError):
         derangement_enum(10)
-    monkeypatch.setenv("LOCALH_MAX_ENUM", "10")
-    assert enumeration_bound() == 10
-    monkeypatch.setenv("LOCALH_MAX_ENUM", "13")
-    with pytest.raises(EnumerationBoundError):
-        enumeration_bound()
 
 
 def test_negative_order_rejected():
