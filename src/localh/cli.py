@@ -132,6 +132,7 @@ def cmd_identities(args) -> int:
 
 
 def cmd_derangement(args) -> int:
+    derangement_enum(args.max_d)  # refuses a negative or unenumerable order first
     rows = []
     ok = True
     for d in range(args.max_d + 1):
@@ -200,14 +201,14 @@ def _search_record(seed: int, args) -> list[dict]:
 
 def _invariants(s: Subdivision, sd: bool = False) -> tuple:
     """Local h, quasi-geometric and vertex-induced verdicts and an instance
-    thunk, of s or of sd(s); those of sd(s) are read off s's chain counts and
+    thunk, of s or of sd(s); those of sd(s) are read off s's face counts and
     carriers if they are monotone.  A chain's carrier is its top's, so sd(s)
     is vertex-induced and the union of a chain's vertex carriers is the top's
     carrier; a chain of k cells fits under a top of k or more vertices, so
     sd(s) is quasi-geometric exactly when no face of s has a smaller carrier."""
     if sd and s.is_monotone():
         qg = all(len(f) >= len(g) for g, f in s.carrier.items())
-        return posets.bary_local_h(s), qg, True, lambda: posets.sd_subdivision(s)
+        return s.bary_local_h(), qg, True, lambda: posets.sd_subdivision(s)
     sub = posets.sd_subdivision(s) if sd else s
     qg, vi = sub.is_quasi_geometric().holds, sub.is_vertex_induced().holds
     return sub.local_h(), qg, vi, lambda: sub

@@ -23,7 +23,6 @@ from .complexes import Face, subsets
 from .constructions import trivial_on
 from .permstats import EnumerationBoundError, derangement_enum, derangement_recurrence
 from .polynomials import ONE, ZERO, Polynomial, gamma_extract, geometric_block, is_unimodal
-from .posets import bary_local_h
 from .subdivisions import BaseNotSimplexError, Subdivision
 
 
@@ -143,7 +142,7 @@ class IdentityReport:
 @lru_cache(maxsize=None)
 def _bary_local_h(d: int) -> Polynomial:
     """Local h of the barycentric subdivision of the simplex on d vertices."""
-    return bary_local_h(trivial_on(d))
+    return trivial_on(d).bary_local_h()
 
 
 # The records that need a simplex base, in report order; every one is

@@ -10,9 +10,7 @@ dimensions starting at 0.
 There is one route from a poset to its order complex, a chain DP over the
 dimension-sorted elements: an element tops itself and, with its label
 inserted, each chain ending below it.  So every face is made once with its
-top known, and barycentric subdivision reads its carrier off that top.  The
-local h of the barycentric subdivision has one route too, which never builds
-it: the same DP counts the chains by (carrier of the top, size).
+top known, and barycentric subdivision reads its carrier off that top.
 
 There is one route from a poset to its cd-form, and it never builds the
 order complex: chain counts by dynamic programming over the strict upsets,
@@ -35,13 +33,12 @@ from __future__ import annotations
 
 import re
 from bisect import bisect
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
 
 from .complexes import Face, SimplicialComplex, canonical_face, simplex
 from .polynomials import ONE, ZERO, Polynomial
-from .subdivisions import BaseNotSimplexError, Subdivision, _alternating_subset_sum, _h_table
+from .subdivisions import Subdivision
 
 
 class UngradedPosetError(ValueError):
@@ -191,59 +188,20 @@ def sd_subdivision(source: Subdivision | FacePoset) -> Subdivision:
 
     The carrier of a chain is the carrier of its maximal element, so the
     restriction over a base face F is exactly the subdivision of the fibre
-    over F.
+    over F.  Without a base of its own, the base is the simplex on every
+    carrier label.
     """
-    p, base = _carried(source)
-    total, carrier = _order_complex(p, p.carrier)
-    return Subdivision(base, total, carrier)
-
-
-def _carried(source: Subdivision | FacePoset) -> tuple[FacePoset, SimplicialComplex]:
-    """The poset of a source with a carrier on every element, and its base:
-    its own, or else the simplex on every carrier label."""
     p = face_poset(source) if isinstance(source, Subdivision) else source
     if p.carrier is None:
         raise ValueError("carriers are required on every poset element")
     missing = {e for e, _ in p.elements} - p.carrier.keys()
     if missing:
         raise ValueError(f"carrier missing for {sorted(missing)[0]}")
-    if p.base is not None:
-        return p, p.base
-    return p, simplex(sorted({v for f in p.carrier.values() for v in f}))
-
-
-def bary_local_h(source: Subdivision | FacePoset) -> Polynomial:
-    """Local h of the barycentric subdivision, without building it.
-
-    The restriction of sd to a base face F is the order complex of the
-    elements carried into F, since a chain's carrier is its top element's.
-    So one DP over the dimension-sorted elements, in which an element tops
-    itself and extends each chain ending below it, counts the faces of sd
-    per (carrier mask, size); ``Subdivision.local_h`` takes it from there.
-    """
-    p, base = _carried(source)
-    if len(base.facets) != 1:
-        raise BaseNotSimplexError("base complex is not a simplex")
-    bits = {v: 1 << i for i, v in enumerate(base.vertices)}
-    code = {f: sum(bits.get(v, 0) for v in f) for f in set(p.carrier.values())}
-    bad = [f for f in code if not f or f not in base]
-    if bad:
-        raise ValueError(f"carrier {min(bad)} is not a base face")
-    order, dimlist, above = p._above_masks()
-    ends = [[1] + [0] * k for k in dimlist]  # [i][k]: chains of k+1 elements topped by i
-    counts: Counter = Counter()
-    for i, e in enumerate(order):
-        row, mask = ends[i], code[p.carrier[e]]
-        counts.update({(mask, size): n for size, n in enumerate(row, 1)})
-        m = above[i]
-        while m:
-            j = (m & -m).bit_length() - 1
-            target = ends[j]
-            for k, n in enumerate(row, 1):
-                target[k] += n
-            m &= m - 1
-    n = len(base.vertices)
-    return _alternating_subset_sum(_h_table(counts, n), (1 << n) - 1)
+    base = p.base
+    if base is None:
+        base = simplex(sorted({v for f in p.carrier.values() for v in f}))
+    total, carrier = _order_complex(p, p.carrier)
+    return Subdivision(base, total, carrier)
 
 
 # -- flag vectors and the ab-index -------------------------------------------

@@ -26,8 +26,10 @@ malformed carrier map this package can produce.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .complexes import (
     Face,
@@ -327,13 +329,18 @@ class Subdivision:
         if not self.base_is_simplex:
             raise BaseNotSimplexError("base complex is not a simplex")
 
+    def _face_counts(self) -> Counter:
+        """Nonempty total faces counted per (carrier mask, size)."""
+        if "fc" not in self._cache:
+            cm = self._carrier_masks()
+            self._cache["fc"] = Counter(zip(cm.values(), map(len, cm)))
+        return self._cache["fc"]
+
     def _subset_h_table(self) -> dict[int, Polynomial]:
         """h-polynomial of the restriction to every vertex subset, by mask."""
         if "ht" not in self._cache:
             self._require_simplex_base()
-            cm = self._carrier_masks()
-            counts = Counter(zip(cm.values(), map(len, cm)))
-            self._cache["ht"] = _h_table(counts, len(self.base.vertices))
+            self._cache["ht"] = _h_table(self._face_counts(), len(self.base.vertices))
         return self._cache["ht"]
 
     def local_h(self) -> Polynomial:
@@ -341,6 +348,18 @@ class Subdivision:
         self._require_simplex_base()
         full = (1 << len(self.base.vertices)) - 1
         return _alternating_subset_sum(self._subset_h_table(), full)
+
+    def bary_local_h(self) -> Polynomial:
+        """Local h of the barycentric subdivision, without building it: a chain
+        of k faces is carried where its top is, and the chains under a top of
+        m vertices are the ordered partitions of its vertices into k blocks."""
+        self._require_simplex_base()
+        counts: Counter = Counter()
+        for (mask, m), n in self._face_counts().items():
+            for k in range(1, m + 1):
+                counts[mask, k] += n * _ordered_partitions(m, k)
+        n = len(self.base.vertices)
+        return _alternating_subset_sum(_h_table(counts, n), (1 << n) - 1)
 
     def local_gamma(self) -> GammaVector:
         return gamma_extract(self.local_h(), len(self.base.vertices))
@@ -386,6 +405,12 @@ class Subdivision:
             b = self.restriction_complex(face).boundary()
             self._cache[key] = ZERO if b.is_void else b.h_polynomial()
         return self._cache[key]
+
+
+@lru_cache(maxsize=None)
+def _ordered_partitions(m: int, k: int) -> int:
+    """k! S(m, k): the surjections of m things onto k, by inclusion-exclusion."""
+    return sum((-1) ** j * math.comb(k, j) * (k - j) ** m for j in range(k + 1))
 
 
 def _h_table(counts: Counter, n: int) -> dict[int, Polynomial]:

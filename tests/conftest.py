@@ -27,7 +27,6 @@ from localh.identities import (
 from localh.polynomials import ZERO, Polynomial
 from localh.posets import (
     CdPolynomial,
-    bary_local_h,
     ek_difference,
     face_poset,
     sd_complex,
@@ -51,7 +50,7 @@ class MemberSummary:
     vertex_induced: bool
     failures: list[str] = field(default_factory=list)
     # bary rows only: bary_local_h of the member, and the search record of
-    # sd read off the member's chain counts next to the one of the built sd
+    # sd read off the member's face counts next to the one of the built sd
     chain_local_h: tuple[int, ...] | None = None
     sd_records: tuple[dict, dict] | None = None
 
@@ -147,7 +146,7 @@ def _summaries():
                     failures=failures,
                 )
             )
-        records[-1].chain_local_h = bary_local_h(s).padded(d)
+        records[-1].chain_local_h = s.bary_local_h().padded(d)
         records[-1].sd_records = (
             _record(seed, word, d, *_invariants(s, sd=True)),
             _record(seed, word, d, *_invariants(bary)),

@@ -19,6 +19,7 @@ from localh.constructions import (
     stellar_facet,
     trivial_on,
 )
+from localh.permstats import derangement_enum
 from localh.posets import face_poset
 from localh.subdivisions import Subdivision
 
@@ -548,6 +549,7 @@ def test_sd_search_fields_are_read_off_the_member_when_carriers_are_monotone(mon
         raise AssertionError("sd was built")
 
     monkeypatch.setattr(posets, "sd_subdivision", refuse)
+    monkeypatch.setattr(posets, "face_poset", refuse)
     assert cli._invariants(s, sd=True)[:3] == want[:3]
 
 
@@ -580,11 +582,24 @@ def test_poset_carrier_given_as_string_is_an_input_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_derangement_beyond_the_enumeration_bound_is_an_input_error(capsys):
+def test_derangement_beyond_the_enumeration_bound_is_an_input_error(monkeypatch, capsys):
+    orders = []
+
+    def counted(d):
+        orders.append(d)
+        return derangement_enum(d)
+
+    monkeypatch.setattr(cli, "derangement_enum", counted)
     code, out, err = run(capsys, "derangement", "--max-d", "10")
     assert code == 2
     assert out == ""
     assert err == "input error: enumeration over S_10 exceeds the bound 9\n"
+    assert orders == [10]  # refused before S_0..S_9 are enumerated
+
+    code, out, err = run(capsys, "derangement", "--max-d", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "input error: order must be nonnegative\n"
 
 
 def fresh_process(*argv):

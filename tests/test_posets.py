@@ -18,17 +18,17 @@ from localh.posets import (
     NotExpressible,
     UngradedPosetError,
     ab_index,
-    bary_local_h,
     boundary_poset,
     cd_extract,
     cd_word_degree,
     ek_difference,
+    face_id,
     face_poset,
     flag_vectors,
     sd_complex,
     sd_subdivision,
 )
-from localh.subdivisions import BaseNotSimplexError, Subdivision
+from localh.subdivisions import BaseNotSimplexError, Subdivision, _ordered_partitions
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -153,26 +153,30 @@ def test_sd_restriction_commutes():
 
 
 def test_sd_requires_carriers():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="carriers are required"):
         sd_subdivision(SQUARE_CELL)
+    p = face_poset(trivial_on(2))
+    p.carrier["v1"] = ("v3",)
+    with pytest.raises(ValueError, match="not a base face"):
+        sd_subdivision(p)
 
 
-# -- bary_local_h against the built barycentric subdivision --------------------
+# -- Subdivision.bary_local_h against the built barycentric subdivision ---------
 
 
 def test_bary_local_h_matches_the_built_sd(sd_sources):
     names = set()
     for name, source in sd_sources:
-        if isinstance(source, FacePoset) and source.carrier is None:
+        if isinstance(source, FacePoset):
             continue
         built = sd_subdivision(source)
         if not built.base_is_simplex:
             with pytest.raises(BaseNotSimplexError):
-                bary_local_h(source)
+                source.bary_local_h()
             continue
-        assert bary_local_h(source) == built.local_h(), name
+        assert source.bary_local_h() == built.local_h(), name
         names.add(name)
-    assert {"chord_triangle_poset", "stellar_triangle_poset", "corpus19"} <= names
+    assert {"bary_stellar_triangle", "simplex5", "corpus19"} <= names
 
 
 def test_bary_local_h_matches_the_built_sd_on_the_corpus(corpus_summaries):
@@ -183,16 +187,17 @@ def test_bary_local_h_matches_the_built_sd_on_the_corpus(corpus_summaries):
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_bary_local_h_of_the_simplex_is_the_derangement_polynomial(n):
-    assert bary_local_h(trivial_on(n)) == derangement_recurrence(n)
+    assert trivial_on(n).bary_local_h() == derangement_recurrence(n)
 
 
-def test_bary_local_h_requires_carriers_on_base_faces():
-    with pytest.raises(ValueError, match="carriers are required"):
-        bary_local_h(SQUARE_CELL)
-    p = face_poset(trivial_on(2))
-    p.carrier["v1"] = ("v3",)
-    with pytest.raises(ValueError, match="not a base face"):
-        bary_local_h(p)
+@pytest.mark.parametrize("m", range(1, 7))
+def test_chain_weights_count_the_chains_topped_by_the_full_face(m):
+    vertices = tuple(f"v{i}" for i in range(1, m + 1))
+    chains = sd_complex(face_poset(simplex(vertices))).nonempty_faces()
+    top = face_id(vertices)
+    for k in range(1, m + 1):
+        topped = sum(1 for c in chains if len(c) == k and top in c)
+        assert _ordered_partitions(m, k) == topped, (m, k)
 
 
 # -- the chain DP against the maximal-chain walk -------------------------------

@@ -522,6 +522,12 @@ def test_restriction_with_no_carrier_is_the_empty_complex(total):
         assert got.faces_by_dim() != VOID.faces_by_dim()
 
 
+@pytest.mark.parametrize("total", [VOID, EMPTY], ids=["void", "empty"])
+def test_bary_local_h_with_no_carrier_is_the_local_h(total):
+    s = Subdivision(simplex("ab"), total, {})  # sd of no faces has no faces
+    assert s.bary_local_h() == s.local_h()
+
+
 def test_restriction_members_ignores_labels_outside_the_base():
     s = stellar_facet(trivial_on(3))
     assert s.restriction_members(("v1", "v2", "nope")) == s.restriction_members(("v1", "v2"))
