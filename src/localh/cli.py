@@ -234,6 +234,11 @@ def _record(seed: int, word, d: int, local, qg: bool, vi: bool, instance) -> dic
 
 
 def cmd_search(args) -> int:
+    if args.max_d > constructions.MAX_BASE_VERTICES:
+        raise ValueError(
+            f"search --max-d: {args.max_d} exceeds the budget of "
+            f"{constructions.MAX_BASE_VERTICES} base vertices"
+        )
     tally: Counter = Counter()
     for seed in range(args.seed, args.seed + args.count):
         for rec in _search_record(seed, args):

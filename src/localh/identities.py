@@ -4,7 +4,7 @@ h-vectors, cross-checked against the direct definitions.
 Three routes to the local h-polynomial of a subdivision of a simplex must
 agree exactly:
 
-* the direct alternating sum over restrictions (``Subdivision.local_h``);
+* Stanley's sum over restrictions, taken face by face (``Subdivision.local_h``);
 * a boundary recursion: h of the whole minus h of its boundary plus
   geometric-block-weighted local h's of the proper restrictions;
 * a derangement expansion: restriction-vs-boundary h differences times

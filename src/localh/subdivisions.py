@@ -12,9 +12,10 @@ Internally every carrier query reads one encoding: a base face is a bitmask
 over the sorted base vertices (bit i for the i-th vertex), and each distinct
 carrier is encoded once, however many total faces share it.  "The carrier of
 G lies in F" is then ``not carrier_mask & ~mask(F)``.  The public ``carrier``
-attribute stays the label map; no mask leaves this module.  The h-polynomial
-of every restriction comes from one counting pass: faces are counted per
-(carrier mask, size), and each vertex subset sums the counts of its submasks.
+attribute stays the label map; no mask leaves this module.  Faces are counted
+once per (carrier mask, size).  The local h is one signed sum over those
+counts, face by face; the h-polynomial of a restriction to a vertex subset
+sums the counts of the subset's submasks.
 
 Ball recognition is undecidable in general, so validity here means the
 documented *weak ball check*: every restriction must be pure of the right
@@ -38,6 +39,7 @@ from .complexes import (
     SimplicialComplex,
     canonical_face,
     simplex,
+    subsets,
 )
 from .polynomials import ZERO, GammaVector, Polynomial, gamma_extract, h_from_f
 
@@ -336,18 +338,10 @@ class Subdivision:
             self._cache["fc"] = Counter(zip(cm.values(), map(len, cm)))
         return self._cache["fc"]
 
-    def _subset_h_table(self) -> dict[int, Polynomial]:
-        """h-polynomial of the restriction to every vertex subset, by mask."""
-        if "ht" not in self._cache:
-            self._require_simplex_base()
-            self._cache["ht"] = _h_table(self._face_counts(), len(self.base.vertices))
-        return self._cache["ht"]
-
     def local_h(self) -> Polynomial:
-        """Alternating sum of restriction h-polynomials over all vertex subsets."""
+        """Stanley's alternating sum over restrictions, read off the face counts."""
         self._require_simplex_base()
-        full = (1 << len(self.base.vertices)) - 1
-        return _alternating_subset_sum(self._subset_h_table(), full)
+        return _local_h(self._face_counts(), len(self.base.vertices))
 
     def bary_local_h(self) -> Polynomial:
         """Local h of the barycentric subdivision, without building it: a chain
@@ -358,8 +352,7 @@ class Subdivision:
         for (mask, m), n in self._face_counts().items():
             for k in range(1, m + 1):
                 counts[mask, k] += n * _ordered_partitions(m, k)
-        n = len(self.base.vertices)
-        return _alternating_subset_sum(_h_table(counts, n), (1 << n) - 1)
+        return _local_h(counts, len(self.base.vertices))
 
     def local_gamma(self) -> GammaVector:
         return gamma_extract(self.local_h(), len(self.base.vertices))
@@ -372,27 +365,24 @@ class Subdivision:
         a simplex with h = 1, so the sum telescopes to the h-polynomial
         counted from the carrier map over the full vertex set: the identity
         record then compares that count with the total's h and cannot fail
-        (open item 6 of ROADMAP.md).
+        (open item 8 of ROADMAP.md).
         """
         if not self.base.is_pure:
             raise NotPureError("locality formula requires a pure base")
         if self.base_is_simplex:
-            return self._subset_h_table()[(1 << len(self.base.vertices)) - 1]
-        faces = sorted(self.base.all_faces())
-        table = {self._mask(f): self.restriction_complex(f).h_polynomial() for f in faces}
-        return sum(
-            (
-                _alternating_subset_sum(table, self._mask(f)) * self.base.link(f).h_polynomial()
-                for f in faces
-            ),
-            ZERO,
-        )
+            return self.subset_h(self.base.vertices)
+        h = {f: self.restriction_complex(f).h_polynomial() for f in self.base.all_faces()}
+        ell = {f: sum((h[g] * (-1) ** (len(f) - len(g)) for g in subsets(f)), ZERO) for f in h}
+        return sum((ell[f] * self.base.link(f).h_polynomial() for f in ell), ZERO)
 
     # -- cached per-subset data shared with the identity checkers -------------
 
     def subset_h(self, face) -> Polynomial:
         """h-polynomial of the restriction to a vertex subset (simplex base)."""
-        return self._subset_h_table()[self._mask(face)]
+        if "ht" not in self._cache:
+            self._require_simplex_base()
+            self._cache["ht"] = _h_table(self._face_counts(), len(self.base.vertices))
+        return self._cache["ht"][self._mask(face)]
 
     def subset_boundary_h(self, face) -> Polynomial:
         """h-polynomial of the boundary of the restriction to a vertex subset.
@@ -413,6 +403,27 @@ def _ordered_partitions(m: int, k: int) -> int:
     return sum((-1) ** j * math.comb(k, j) * (k - j) ** m for j in range(k + 1))
 
 
+def _local_h(counts: Counter, n: int) -> Polynomial:
+    """Local h from face counts per (carrier mask, size) over n base vertices:
+    Stanley's sum of (-1)^(n-|S|) h(Gamma_S) over vertex subsets S, taken face
+    by face.  A face G's terms over the S holding its carrier, of c vertices,
+    sum to (-1)^(n-c) x^(|G|+n-c) (1-x)^(c-|G|) if each Gamma_S has dimension
+    |S|-1.  Where the counts show one that has not (only invalid input has
+    such), the sum over S of each restriction's own h is taken."""
+    by_size, full = Counter({(0, 0): 1}), 0  # the empty face; S with a face of |S| vertices
+    for (mask, m), count in counts.items():
+        by_size[mask.bit_count(), m] += count
+        full += m == mask.bit_count()
+    if full < (1 << n) - 1 or any(m > c for c, m in by_size):
+        table = _h_table(counts, n)
+        return sum((h * (-1) ** (n - mask.bit_count()) for mask, h in table.items()), ZERO)
+    coeffs = [0] * (n + 1)
+    for (c, m), count in by_size.items():
+        for i in range(c - m + 1):
+            coeffs[m + n - c + i] += (-1) ** (n - c + i) * math.comb(c - m, i) * count
+    return Polynomial(coeffs)
+
+
 def _h_table(counts: Counter, n: int) -> dict[int, Polynomial]:
     """h-polynomial per subset mask of n base vertices, from face counts per
     (carrier mask, size): a subset's f-vector sums the counts of its submasks,
@@ -431,20 +442,3 @@ def _h_table(counts: Counter, n: int) -> dict[int, Polynomial]:
         size = max((k for k in range(1, top + 1) if row[k]), default=0)
         table[mask] = h_from_f([1] + row[1 : size + 1])
     return table
-
-
-def _alternating_subset_sum(table: dict[int, Polynomial], mask: int) -> Polynomial:
-    """Local h of the restriction to a subset mask via its own alternating sum."""
-    total = ZERO
-    size = mask.bit_count()
-    sub = mask
-    while True:
-        term = table[sub]
-        if (size - sub.bit_count()) % 2:
-            total = total - term
-        else:
-            total = total + term
-        if sub == 0:
-            break
-        sub = (sub - 1) & mask
-    return total

@@ -9,14 +9,16 @@ small summary records so memory stays bounded.
 
 from __future__ import annotations
 
+import math
 import pathlib
+from collections import Counter
 from copy import deepcopy
 from dataclasses import dataclass, field
 from itertools import combinations
 
 import pytest
 
-from localh import serialize
+from localh import serialize, subdivisions
 from localh.cli import _invariants, _record
 from localh.constructions import random_subdivision, trivial_on
 from localh.identities import (
@@ -55,9 +57,51 @@ class MemberSummary:
     sd_records: tuple[dict, dict] | None = None
 
 
+def oracle_local_h(s):
+    """Independent route: naive per-subset membership scan and naive h from
+    scratch, no shared code with the library implementation.  The faces are
+    scanned once per distinct (carrier, size) pair, not once per subset."""
+    verts = s.base.vertices
+    d = len(verts)
+    kinds = Counter((frozenset(c), len(g)) for g, c in s.carrier.items())
+    total = [0] * (d + 1)
+    for k in range(d + 1):
+        for sub in combinations(verts, k):
+            card = Counter()
+            for (carrier, size), n in kinds.items():
+                if carrier <= set(sub):
+                    card[size] += n
+            sign = (-1) ** (d - k)
+            for i, c in enumerate(naive_h(card)):
+                total[i] += sign * c
+    return Polynomial(total)
+
+
+def naive_h(card):
+    """h-vector from the number of nonempty faces of each size."""
+    top = max(card, default=0)
+    f = [1] + [card[j] for j in range(1, top + 1)]
+    return [
+        sum((-1) ** (i - j) * math.comb(top - j, i - j) * f[j] for j in range(i + 1))
+        for i in range(top + 1)
+    ]
+
+
+def table_local_h(counts, n):
+    """Stanley's definition read off the library's subset-h table: the signed
+    sum over subset masks of each restriction's h, in its own dimension.
+    The oracle of the face sum in ``subdivisions._local_h``."""
+    table = subdivisions._h_table(counts, n)
+    return sum((h * (-1) ** (n - m.bit_count()) for m, h in table.items()), ZERO)
+
+
 def _identity_failures(s) -> list[str]:
     out = []
     direct = s.local_h()
+    if direct != table_local_h(s._face_counts(), len(s.base.vertices)):
+        out.append("face-sum vs table-route mismatch")
+    if direct != oracle_local_h(s):
+        out.append("face-sum vs naive-oracle mismatch")
     if local_h_via_boundary_recursion(s) != direct:
         out.append("boundary-recursion mismatch")
     if local_h_via_derangements(s) != direct:

@@ -277,6 +277,28 @@ def test_replay_refuses_seed_vertices_over_the_base_vertex_budget(tmp_path, monk
     )
 
 
+def test_search_refuses_max_d_over_the_base_vertex_budget(monkeypatch, capsys):
+    started = []
+
+    def stub(seed, d_max, steps):
+        started.append(d_max)
+        raise ValueError("stub")
+
+    monkeypatch.setattr("localh.constructions.random_subdivision", stub)
+    code, out, err = run(capsys, "search", "--count", "3", "--max-d", str(MAX_BASE_VERTICES + 1))
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"input error: search --max-d: {MAX_BASE_VERTICES + 1} exceeds the budget of "
+        f"{MAX_BASE_VERTICES} base vertices\n"
+    )
+    assert started == []
+    # a base of 11 vertices is within budget
+    code, _, err = run(capsys, "search", "--count", "1", "--max-d", str(MAX_BASE_VERTICES))
+    assert started == [MAX_BASE_VERTICES]
+    assert err == "input error: stub\n"
+
+
 def test_cdindex_refuses_a_monogon(tmp_path, capsys):
     f = tmp_path / "monogon.json"
     f.write_text(json.dumps({

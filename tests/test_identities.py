@@ -1,6 +1,6 @@
 import pytest
 
-from localh import identities, posets
+from localh import identities, posets, subdivisions
 from localh.complexes import SimplicialComplex, simplex_boundary
 from localh.constructions import (
     push_then_stellar,
@@ -162,6 +162,25 @@ def test_verify_all_detects_mismatch():
     report = verify_all(broken)
     assert not report.all_match
     assert not broken.validate().valid
+
+
+def test_direct_local_h_shares_no_table_with_the_boundary_routes(monkeypatch):
+    # the boundary-recursion and derangement-expansion records read the
+    # subset-h table; the direct local h reads face counts only, so a wrong
+    # table entry at the full mask must surface as a mismatch in both
+    assert verify_all(random_subdivision(3, 5, 6)[0]).all_match
+    table = subdivisions._h_table
+
+    def corrupted(counts, n):
+        out = table(counts, n)
+        full = (1 << n) - 1
+        return {**out, full: out[full] + Polynomial([0, 0, 1])}
+
+    monkeypatch.setattr(subdivisions, "_h_table", corrupted)
+    s, _ = random_subdivision(3, 5, 6)
+    matches = {r.name: r.match for r in verify_all(s).records}
+    assert matches["boundary-recursion"] is False
+    assert matches["derangement-expansion"] is False
 
 
 def test_report_serialization():

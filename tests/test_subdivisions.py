@@ -1,12 +1,11 @@
-import math
 import random
 import re
 from itertools import combinations
 
 import pytest
-from conftest import FIXTURES
+from conftest import FIXTURES, oracle_local_h, table_local_h
 
-from localh import serialize
+from localh import serialize, subdivisions
 from localh.complexes import EMPTY, VOID, SimplicialComplex, simplex, simplex_boundary
 from localh.constructions import (
     pushable_ridges,
@@ -17,41 +16,9 @@ from localh.constructions import (
     stellar_facet,
     trivial_on,
 )
-from localh.polynomials import Polynomial, h_from_f
+from localh.polynomials import ZERO, Polynomial, h_from_f
 from localh.posets import sd_subdivision
 from localh.subdivisions import BaseNotSimplexError, Subdivision
-
-
-def oracle_local_h(s):
-    """Independent route: naive per-subset membership scan and naive h from
-    scratch, no shared code with the library implementation."""
-    verts = s.base.vertices
-    d = len(verts)
-    total = [0] * (d + 1)
-    for k in range(d + 1):
-        for sub in combinations(verts, k):
-            members = [g for g, c in s.carrier.items() if set(c) <= set(sub)]
-            h = naive_h(members)
-            sign = (-1) ** (d - k)
-            for i, c in enumerate(h):
-                total[i] += sign * c
-    return Polynomial(total)
-
-
-def naive_h(nonempty_faces):
-    card = [0] * 20
-    card[0] = 1
-    top = 0
-    for f in nonempty_faces:
-        card[len(f)] += 1
-        top = max(top, len(f))
-    return [
-        sum(
-            (-1) ** (i - j) * math.comb(top - j, i - j) * card[j]
-            for j in range(i + 1)
-        )
-        for i in range(top + 1)
-    ]
 
 
 def bary_of_trivial(n):
@@ -222,6 +189,108 @@ def test_local_h_requires_simplex_base():
         s.local_h()
 
 
+# -- the face sum of _local_h against Stanley's sum over subsets ---------------
+
+
+def test_local_h_face_sum_matches_the_table_route_and_the_naive_oracle(sd_sources):
+    names = set()
+    for name, s in subdivisions_of(sd_sources):
+        if s.base_is_simplex:
+            want = table_local_h(s._face_counts(), len(s.base.vertices))
+            assert s.local_h() == want == oracle_local_h(s), name
+            names.add(name)
+    assert {"broken_stellar_triangle", "sd bary_stellar_triangle", "sd corpus19"} <= names
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_local_h_face_sum_on_the_simplex(n):
+    s = trivial_on(n)
+    assert s.local_h() == table_local_h(s._face_counts(), n) == ZERO
+    if n <= 8:  # the naive scan takes every pair of the 2^n carriers
+        assert oracle_local_h(s) == ZERO
+
+
+def test_bary_local_h_face_sum_matches_the_table_route(monkeypatch, sd_sources):
+    face_sum, routes = subdivisions._local_h, []
+
+    def both(counts, n):  # bary_local_h's chain counts through both routes
+        routes.append((face_sum(counts, n), table_local_h(counts, n)))
+        return routes[-1][0]
+
+    monkeypatch.setattr(subdivisions, "_local_h", both)
+    sources = [s for _, s in sd_sources if isinstance(s, Subdivision) and s.base_is_simplex]
+    for s in sources + [trivial_on(n) for n in range(1, 12)]:
+        s.bary_local_h()
+    assert len(routes) > 40
+    assert [got for got, want in routes if got != want] == []
+
+
+def irregular(s):
+    """Some restriction over a nonempty vertex set S is not of dimension |S|-1."""
+    verts = s.base.vertices
+    return any(
+        s.restriction_complex(face).dim != k - 1
+        for k in range(1, len(verts) + 1)
+        for face in combinations(verts, k)
+    )
+
+
+def stellar_with_carriers(changes):
+    """The stellar triangle with some carriers replaced."""
+    s = stellar_facet(trivial_on(3))
+    return Subdivision(s.base, s.total, {**s.carrier, **changes})
+
+
+IRREGULAR = {
+    "broken_stellar_triangle": lambda: serialize.subdivision_from_obj(
+        serialize.load_json(str(FIXTURES / "broken_stellar_triangle.json"))
+    ),
+    "edge_moved_off_its_carrier": lambda: stellar_with_carriers({("v1", "z1"): ("v2",)}),
+    "interior_vertex_collapsed": lambda: stellar_with_carriers({
+        ("z1",): ("v1",), ("v1", "z1"): ("v1",),
+        ("v2", "z1"): ("v1", "v2"), ("v3", "z1"): ("v1", "v3"),
+    }),
+    "void": lambda: Subdivision(simplex("ab"), VOID, {}),
+    "empty": lambda: Subdivision(simplex("ab"), EMPTY, {}),
+}
+
+
+def test_local_h_takes_the_table_route_exactly_on_irregular_counts(monkeypatch, sd_sources):
+    table, calls = subdivisions._h_table, []
+
+    def counted(counts, n):
+        calls.append(n)
+        return table(counts, n)
+
+    monkeypatch.setattr(subdivisions, "_h_table", counted)
+    cases = [(name, make()) for name, make in IRREGULAR.items()]
+    cases += [(name, s) for name, s in subdivisions_of(sd_sources) if s.base_is_simplex]
+    cases += [("corruption", s) for s in single_carrier_corruptions(trivial_on(3))]
+    taken = set()
+    for name, s in cases:
+        calls.clear()
+        s.local_h()
+        assert bool(calls) == irregular(s), name
+        if calls:
+            taken.add(name)
+    assert set(IRREGULAR) | {"corruption"} <= taken
+    assert not taken & {"stellar_triangle", "corpus19", "sd corpus19"}
+
+
+def test_local_h_reads_no_table_on_regular_counts(monkeypatch, sd_sources):
+    def refuse(counts, n):
+        raise AssertionError("the table route was taken")
+
+    members = [random_subdivision(seed, 5, seed % 7)[0] for seed in range(20)]
+    members += [s for _, s in subdivisions_of(sd_sources) if s.base_is_simplex]
+    regular = [s for s in members if not irregular(s)]
+    assert len(regular) > 50
+    monkeypatch.setattr(subdivisions, "_h_table", refuse)
+    for s in regular:
+        s.local_h()
+        s.bary_local_h()
+
+
 def test_local_gamma_examples():
     assert bary_of_trivial(3).local_gamma().gammas == (0, 1)
     assert push_then_stellar(trivial_on(4)).local_gamma().gammas == (0, 1, -2)
@@ -336,7 +405,9 @@ def test_subset_h_table_matches_the_per_face_loop(sd_sources):
     compared = 0
     for name, s in subdivisions_of(sd_sources):
         if s.base_is_simplex:
-            assert s._subset_h_table() == oracle_subset_h_table(s), name
+            verts = s.base.vertices
+            for m, h in oracle_subset_h_table(s).items():
+                assert s.subset_h([v for i, v in enumerate(verts) if m >> i & 1]) == h, name
             compared += 1
     assert compared > 50
 
