@@ -239,6 +239,10 @@ def cmd_search(args) -> int:
             f"search --max-d: {args.max_d} exceeds the budget of "
             f"{constructions.MAX_BASE_VERTICES} base vertices"
         )
+    if args.max_d < 2:
+        raise ValueError(f"search --max-d: {args.max_d} is below 2, the smallest base")
+    if args.steps < 0:
+        raise ValueError(f"search --steps: {args.steps} is negative")
     tally: Counter = Counter()
     for seed in range(args.seed, args.seed + args.count):
         for rec in _search_record(seed, args):

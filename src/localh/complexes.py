@@ -225,37 +225,32 @@ class SimplicialComplex:
     # -- homology over GF(2) ----------------------------------------------
 
     def betti_z2(self) -> tuple[int, ...]:
-        """Reduced Betti numbers over GF(2), indices 0..dim.
-
-        Ranks run top-down with clearing (Chen-Kerber 2011): a k-face that is
-        the pivot of a reduced (k+1)-column is skipped.  That column is a
-        cycle with this face highest, so the face's column sums earlier ones
-        (one sorted order of the k-faces numbers those rows and these columns).
-        """
+        """Reduced Betti numbers over GF(2), indices 0..dim, the faces of each
+        dimension numbered in sorted order."""
         if self.is_void:
             raise VoidComplexError("void complex has no homology")
-        top = self.dim
-        if top < 0:
-            return ()
-        by_dim = self.faces_by_dim()
-        index: dict[int, dict[Face, int]] = {
-            k: {f: i for i, f in enumerate(sorted(by_dim.get(k, ())))}
-            for k in range(-1, top + 1)
-        }
-        ranks = [0] * (top + 2)
-        pivots: dict[int, int] = {}
-        for k in range(top, -1, -1):
-            rows_below = index[k - 1]
-            cols = []
-            for face, i in index[k].items():
-                if i not in pivots:
-                    mask = 0
-                    for sub in combinations(face, k):
-                        mask |= 1 << rows_below[sub]
-                    cols.append(mask)
-            pivots = {}
-            ranks[k] = gf2_rank(cols, pivots)
-        return tuple(len(index[k]) - ranks[k] - ranks[k + 1] for k in range(top + 1))
+        index, levels = {(): 0}, []
+        for k in range(self.dim + 1):
+            faces = sorted(self.faces(k))
+            index.update((f, i) for i, f in enumerate(faces))
+            cols = [sum(1 << index[sub] for sub in combinations(f, k)) for f in faces]
+            levels.append((range(len(faces)), cols))
+        return betti_from_columns(levels)
+
+
+def betti_from_columns(levels) -> tuple[int, ...]:
+    """Reduced Betti numbers over GF(2), indices 0..top, of a complex given
+    per dimension k as (ids, columns): the numbers of its k-faces, and each
+    one's boundary column at its number, a bitmask over the numbers of the
+    (k-1)-faces (the empty face is 0).  Ranks run top-down with clearing
+    (Chen-Kerber 2011): a k-face that is the pivot of a reduced (k+1)-column
+    is skipped, since that cycle makes its column a sum of earlier ones."""
+    ranks, pivots = [0] * (len(levels) + 1), {}
+    for k in range(len(levels) - 1, -1, -1):
+        ids, columns = levels[k]
+        cols, pivots = [columns[i] for i in ids if i not in pivots], {}
+        ranks[k] = gf2_rank(cols, pivots)
+    return tuple(len(ids) - ranks[k] - ranks[k + 1] for k, (ids, _) in enumerate(levels))
 
 
 VOID = SimplicialComplex([])

@@ -22,7 +22,9 @@ documented *weak ball check*: every restriction must be pure of the right
 dimension, a pseudomanifold with boundary, have trivial reduced GF(2)
 homology with sphere-homology boundary, and its interior faces must be
 exactly the carrier preimage.  That is necessary, cheap, and catches every
-malformed carrier map this package can produce.
+malformed carrier map this package can produce.  It reads bitmasks over the
+faces, numbered once in sorted order (``Subdivision._incidence``); a
+restriction that is a simplex passes without rank work.
 """
 
 from __future__ import annotations
@@ -31,12 +33,14 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
+from operator import or_
 
 from .complexes import (
     Face,
     NotPureError,
-    RidgeInThreeFacetsError,
     SimplicialComplex,
+    betti_from_columns,
     canonical_face,
     simplex,
     subsets,
@@ -239,8 +243,46 @@ class Subdivision:
 
     def validate(self) -> ValidityReport:
         """Run the weak ball check on every restriction; failures land in the report."""
-        checks = tuple(self._check_face(f) for f in sorted(self.base.nonempty_faces()))
-        return ValidityReport(checks, self.is_monotone())
+        columns, buckets = self._incidence()
+        none, checks = [0] * len(columns), []
+        for face in sorted(self.base.nonempty_faces()):
+            mask = sub = self._mask(face)
+            faces = none
+            while sub:  # the restriction: the faces carried by every submask
+                faces = list(map(or_, faces, buckets.get(sub, none)))
+                sub = (sub - 1) & mask
+            if not self._cache["mono"]:
+                _close(faces, columns)
+            failures = _weak_ball_failures(len(face), faces, buckets.get(mask, none), columns)
+            checks.append(FaceCheck(face, failures))
+        return ValidityReport(tuple(checks), self._cache["mono"])
+
+    def _incidence(self) -> tuple[list[list[int]], dict[int, list[int]]]:
+        """One pass over the total's faces, cached: per dimension, each face's
+        boundary column, a bitmask over the faces one dimension down numbered
+        in sorted order (the empty face is 0); per carrier mask, the faces it
+        carries, a bitmask per dimension.  The pass also settles monotonicity."""
+        if "inc" not in self._cache:
+            cm, by_dim = self._carrier_masks(), self.total.faces_by_dim()
+            top, index, below, mono = max(by_dim, default=-1), {(): 0}, [0], True
+            columns, buckets = [], {}
+            for k in range(top + 1):
+                faces, level, carried = sorted(by_dim[k]), [], {}
+                for i, g in enumerate(faces):
+                    index[g], c = i, cm[g]
+                    col = lo = 0
+                    for sub in map(index.__getitem__, combinations(g, k)):
+                        col |= 1 << sub
+                        lo |= below[sub]  # the carrier of the facet
+                    mono = mono and not lo & ~c
+                    level.append(col)
+                    carried.setdefault(c, []).append(i)
+                for c, ids in carried.items():
+                    buckets.setdefault(c, [0] * (top + 1))[k] = sum(1 << i for i in ids)
+                columns.append(level)
+                below = [cm[g] for g in faces]
+            self._cache["inc"], self._cache["mono"] = (columns, buckets), mono
+        return self._cache["inc"]
 
     def is_monotone(self) -> bool:
         """No face's carrier leaves that of a face one dimension up holding it."""
@@ -253,40 +295,6 @@ class Subdivision:
                 for i in range(len(g))
             )
         return self._cache["mono"]
-
-    def _check_face(self, face: Face) -> FaceCheck:
-        failures: list[str] = []
-        k = self.restriction_complex(face)
-        if k.dim < 0:
-            return FaceCheck(face, ("nonvoid",))
-        if k.dim != len(face) - 1:
-            failures.append("dimension")
-        if not k.is_pure:
-            failures.append("pure")
-        boundary = None
-        try:
-            boundary = k.boundary()
-        except (NotPureError, RidgeInThreeFacetsError):
-            failures.append("pseudomanifold")
-        if any(k.betti_z2()):
-            failures.append("betti-ball")
-        if boundary is not None and len(face) >= 2:
-            want = tuple(
-                1 if i == len(face) - 2 else 0 for i in range(len(face) - 1)
-            )
-            if (
-                boundary.is_void
-                or boundary.dim != len(face) - 2
-                or boundary.betti_z2() != want
-            ):
-                failures.append("boundary-betti-sphere")
-        if boundary is not None:
-            # a face carried exactly by the face lies over it, so in k
-            preimage = set(self._carrier_buckets().get(self._mask(face), ()))
-            interior = k.nonempty_faces() - boundary.nonempty_faces()
-            if interior != preimage:
-                failures.append("interior-condition")
-        return FaceCheck(face, tuple(failures))
 
     # -- predicates ----------------------------------------------------------
 
@@ -395,6 +403,60 @@ class Subdivision:
             b = self.restriction_complex(face).boundary()
             self._cache[key] = ZERO if b.is_void else b.h_polynomial()
         return self._cache[key]
+
+
+def _weak_ball_failures(n: int, faces: list[int], preimage: list[int], columns) -> tuple[str, ...]:
+    """The weak-ball verdicts of a restriction over a base face of n vertices:
+    ``faces`` its faces, closed downwards, and ``preimage`` those carried by
+    the base face itself, as one bitmask per dimension over the numbers."""
+    sizes = [m.bit_count() for m in faces]
+    top = max((k for k, size in enumerate(sizes) if size), default=-1)
+    if top < 0:
+        return ("nonvoid",)
+    faces = faces[: top + 1]
+    if top == n - 1 and sizes[top] == 1 and sum(sizes) == (1 << n) - 1:
+        # the simplex on n vertices: a ball, all faces but the top on its rim
+        return () if preimage[:n] == [0] * top + faces[top:] else ("interior-condition",)
+    failures = ["dimension"] if top != n - 1 else []
+    cover = [0] * top + faces[top:]  # the faces of the top faces
+    ids = _close(cover, columns)
+    pure = cover == faces
+    if not pure:
+        failures.append("pure")
+        ids = _close(faces, columns)
+    once = twice = thrice = 0  # the ridges in one, two and three or more facets
+    for c in map(columns[top].__getitem__, ids[top]):
+        thrice, twice, once = thrice | twice & c, twice | once & c, once | c
+    if not pure or thrice:
+        failures.append("pseudomanifold")
+    if any(betti_from_columns(list(zip(ids, columns)))):
+        failures.append("betti-ball")
+    if pure and not thrice:
+        ridges = once & ~twice  # in one facet; at top 0 the empty face, or none
+        rim = [0] * (top - 1) + [ridges] if top else []  # the boundary, closed below
+        rim_ids = _close(rim, columns)
+        # the rim's Betti numbers where it is nonvoid and of a sphere's dimension
+        rim_betti = ridges and top == n - 1 and betti_from_columns(list(zip(rim_ids, columns)))
+        if n > 1 and rim_betti != (0,) * (n - 2) + (1,):
+            failures.append("boundary-betti-sphere")
+        if any(f & ~r != p for f, r, p in zip(faces, rim + [0], preimage)):
+            failures.append("interior-condition")
+    return tuple(failures)
+
+
+def _close(faces: list[int], columns) -> list[list[int]]:
+    """Close faces, one bitmask per dimension, downwards in place; return the
+    numbers of the faces per dimension, ascending."""
+    ids = [[] for _ in faces]
+    for k in range(len(faces) - 1, -1, -1):
+        bits = bin(faces[k])[:1:-1]
+        i = bits.find("1")
+        while i >= 0:
+            ids[k].append(i)
+            if k:
+                faces[k - 1] |= columns[k][i]
+            i = bits.find("1", i + 1)
+    return ids
 
 
 @lru_cache(maxsize=None)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import pathlib
+import random
 from collections import Counter
 from copy import deepcopy
 from dataclasses import dataclass, field
@@ -20,6 +21,7 @@ import pytest
 
 from localh import serialize, subdivisions
 from localh.cli import _invariants, _record
+from localh.complexes import NotPureError, RidgeInThreeFacetsError
 from localh.constructions import random_subdivision, trivial_on
 from localh.identities import (
     boundary_h_from_h,
@@ -34,6 +36,7 @@ from localh.posets import (
     sd_complex,
     sd_subdivision,
 )
+from localh.subdivisions import FaceCheck, Subdivision, ValidityReport
 
 CORPUS_SEEDS = range(100)
 CORPUS_MAX_D = 5
@@ -93,6 +96,98 @@ def table_local_h(counts, n):
     The oracle of the face sum in ``subdivisions._local_h``."""
     table = subdivisions._h_table(counts, n)
     return sum((h * (-1) ** (n - m.bit_count()) for m, h in table.items()), ZERO)
+
+
+def oracle_validate(s) -> ValidityReport:
+    """The weak-ball check restriction by restriction, each built as its own
+    complex: ``restriction_complex``, ``is_pure``, ``boundary()``,
+    ``betti_z2`` and the interior as a set of faces.  The oracle of the
+    incidence pass in ``Subdivision.validate``."""
+    checks = []
+    for face in sorted(s.base.nonempty_faces()):
+        failures = []
+        k = s.restriction_complex(face)
+        if k.dim < 0:
+            checks.append(FaceCheck(face, ("nonvoid",)))
+            continue
+        if k.dim != len(face) - 1:
+            failures.append("dimension")
+        if not k.is_pure:
+            failures.append("pure")
+        boundary = None
+        try:
+            boundary = k.boundary()
+        except (NotPureError, RidgeInThreeFacetsError):
+            failures.append("pseudomanifold")
+        if any(k.betti_z2()):
+            failures.append("betti-ball")
+        if boundary is not None and len(face) >= 2:
+            want = (0,) * (len(face) - 2) + (1,)
+            if (
+                boundary.is_void
+                or boundary.dim != len(face) - 2
+                or boundary.betti_z2() != want
+            ):
+                failures.append("boundary-betti-sphere")
+        if boundary is not None:
+            preimage = {g for g, f in s.carrier.items() if f == face}
+            if k.nonempty_faces() - boundary.nonempty_faces() != preimage:
+                failures.append("interior-condition")
+        checks.append(FaceCheck(face, tuple(failures)))
+    monotone = all(
+        set(s.carrier[g[:i] + g[i + 1 :]]) <= set(f)
+        for g, f in s.carrier.items()
+        if len(g) > 1
+        for i in range(len(g))
+    )
+    return ValidityReport(tuple(checks), monotone)
+
+
+def mutate_carrier(s, rng, monotone: bool):
+    """``s`` with the carrier of one face, picked by ``rng``, moved to another
+    base face; None when no face admits such a move.  With ``monotone`` the
+    new carrier lies between the union of the carriers of the face's facets
+    and the intersection of those of the faces one vertex larger holding it
+    (all base vertices for a facet), so monotone carriers stay monotone;
+    otherwise it lies outside that interval, so they stop being monotone."""
+    carrier = {g: frozenset(f) for g, f in s.carrier.items()}
+    facets = {g: [g[:i] + g[i + 1 :] for i in range(len(g))] if len(g) > 1 else [] for g in carrier}
+    cofaces: dict = {}
+    for g, fs in facets.items():
+        for f in fs:
+            cofaces.setdefault(f, []).append(g)
+    verts = frozenset(s.base.vertices)
+    bases = sorted(s.base.nonempty_faces())
+    moves = []
+    for g in sorted(carrier):
+        lo = frozenset().union(*(carrier[f] for f in facets[g]))
+        hi = verts.intersection(*(carrier[c] for c in cofaces.get(g, ())))
+        options = [f for f in bases if f != s.carrier[g] and (lo <= set(f) <= hi) == monotone]
+        if options:
+            moves.append((g, options))
+    if not moves:
+        return None
+    g, options = rng.choice(moves)
+    moved = dict(s.carrier)
+    moved[g] = rng.choice(options)
+    return Subdivision(s.base, s.total, moved)
+
+
+def carrier_mutants(seeds, per_seed: int = 2):
+    """(name, subdivision) pairs: per corpus seed, ``per_seed`` mutants of
+    the member that keep its carriers monotone and ``per_seed`` that do
+    not, each drawn by ``random.Random`` seeded with the seed and kind."""
+    out = []
+    for seed in seeds:
+        member, _ = random_subdivision(seed, CORPUS_MAX_D, seed % (CORPUS_MAX_STEPS + 1))
+        for monotone in (True, False):
+            rng = random.Random(f"{seed}:{monotone}")
+            for i in range(per_seed):
+                mutant = mutate_carrier(member, rng, monotone)
+                if mutant is not None:
+                    kind = "monotone" if monotone else "broken"
+                    out.append((f"corpus{seed}-{kind}{i}", mutant))
+    return out
 
 
 def _identity_failures(s) -> list[str]:
@@ -175,6 +270,8 @@ def _summaries():
             validity = sub.validate()
             if not validity.valid:
                 failures.append(f"weak-ball check fails: {validity.verdict}")
+            if validity != oracle_validate(sub):
+                failures.append("weak-ball check differs from oracle_validate")
             if not is_bary:
                 failures += _ek_failures(sub, ek_cache)
             local = sub.local_h()

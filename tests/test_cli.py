@@ -8,7 +8,7 @@ import sys
 from collections import Counter
 
 import pytest
-from conftest import mutate_json
+from conftest import carrier_mutants, mutate_json
 
 from localh import cli, constructions, posets, serialize
 from localh.cli import build_parser, main
@@ -181,6 +181,30 @@ def test_golden_output(tmp_path, capsys, argv, want_code, want_digest):
     assert hashlib.sha256(out.encode()).hexdigest() == want_digest
 
 
+# SHA-256 of `compute` stdout on seeded invalid carrier mutants of corpus
+# members (``conftest.carrier_mutants``), three that keep the carriers
+# monotone and three that do not, recorded before the weak-ball check moved
+# to one face-incidence pass per subdivision.  Every one exits 1.
+MUTANT_GOLDEN = {
+    "corpus2-monotone0": "0de98ddb9f192860fc3274d04a4f737fe0545ce2b235ad673700f879a0b10c70",
+    "corpus5-monotone0": "a66bee37bc6f51e1a6d428ffb5eb555e8007e6696137f13b2de779e1ee84e6a7",
+    "corpus7-monotone0": "1db8422f877c95df3c1d0408512e761f951e390c452633e710f8d1f613a03bc7",
+    "corpus2-broken0": "579fc8626e145fe40ea1d404eb9d0b9299179d9d596172f711b828429895c207",
+    "corpus3-broken0": "076c3731d71a2c5e6a35e956d6204abfb99c61a61d517ef39db1e2feaed1ed02",
+    "corpus5-broken0": "0467913babc57d9ae2d67b4e2ccd72c43ef94de506fadd9bdb72ee800e118b56",
+}
+
+
+def test_compute_on_carrier_mutants_matches_golden(tmp_path, capsys):
+    mutants = dict(carrier_mutants(range(8), 1))
+    for name, want_digest in MUTANT_GOLDEN.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(serialize.subdivision_to_obj(mutants[name])))
+        code, out, _ = run(capsys, "compute", str(path))
+        assert code == 1, name
+        assert hashlib.sha256(out.encode()).hexdigest() == want_digest, name
+
+
 def test_compute_nonunimodal_fixture(capsys):
     code, out, _ = run(
         capsys, "compute", str(FIXTURES / "nonunimodal_quasigeometric.json")
@@ -275,6 +299,26 @@ def test_replay_refuses_seed_vertices_over_the_base_vertex_budget(tmp_path, monk
         f"opword.seed_vertices: {MAX_BASE_VERTICES + 1} exceeds the budget of "
         f"{MAX_BASE_VERTICES} base vertices" in err
     )
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--max-d", "1", "search --max-d: 1 is below 2, the smallest base"),
+        ("--steps", "-1", "search --steps: -1 is negative"),
+    ],
+)
+@pytest.mark.parametrize("count", ["0", "2"])
+def test_search_refuses_a_bad_option_before_any_member(
+    monkeypatch, capsys, option, value, message, count
+):
+    started = []
+    monkeypatch.setattr(
+        "localh.constructions.random_subdivision", lambda *a: started.append(a)
+    )
+    code, out, err = run(capsys, "search", "--count", count, option, value)
+    assert (code, out, err) == (2, "", f"input error: {message}\n")
+    assert started == []
 
 
 def test_search_refuses_max_d_over_the_base_vertex_budget(monkeypatch, capsys):

@@ -12,6 +12,7 @@ from localh.complexes import (
     SimplicialComplex,
     VoidComplexError,
     _closure,
+    betti_from_columns,
     gf2_rank,
     simplex,
     simplex_boundary,
@@ -117,6 +118,22 @@ complexes_on_seven_vertices = st.one_of(
 @given(complexes_on_seven_vertices)
 def test_betti_with_clearing_matches_naive_ranks(k):
     assert k.betti_z2() == naive_betti(k)
+
+
+@given(complexes_on_seven_vertices, st.randoms(use_true_random=False))
+def test_clearing_helper_gives_betti_z2_in_any_face_order(k, rng):
+    # number each dimension's faces in a shuffled order: clearing needs only
+    # that one numbering serves a dimension as rows and as columns
+    index, levels = {(): 0}, []
+    for dim in range(k.dim + 1):
+        faces = sorted(k.faces(dim))
+        rng.shuffle(faces)
+        index.update((f, i) for i, f in enumerate(faces))
+        columns = [sum(1 << index[sub] for sub in combinations(f, dim)) for f in faces]
+        ids = list(range(len(faces)))
+        rng.shuffle(ids)
+        levels.append((ids, columns))
+    assert betti_from_columns(levels) == k.betti_z2() == naive_betti(k)
 
 
 def test_faces_examples():

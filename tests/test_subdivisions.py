@@ -1,9 +1,17 @@
 import random
 import re
+from collections import Counter
 from itertools import combinations
 
 import pytest
-from conftest import FIXTURES, oracle_local_h, table_local_h
+from conftest import (
+    FIXTURES,
+    carrier_mutants,
+    mutate_carrier,
+    oracle_local_h,
+    oracle_validate,
+    table_local_h,
+)
 
 from localh import serialize, subdivisions
 from localh.complexes import EMPTY, VOID, SimplicialComplex, simplex, simplex_boundary
@@ -127,12 +135,10 @@ def test_validate_flags_pseudomanifold_failure():
 def test_validate_reports_monotonicity():
     s = trivial_on(2)
     carrier = dict(s.carrier)
-    carrier[("v1",)] = ("v2",)  # vertex carrier not inside the edge carrier? it is;
-    # break monotonicity instead: edge carried to a vertex
-    carrier[("v1", "v2")] = ("v1",)
-    broken = Subdivision(s.base, s.total, carrier)
-    report = broken.validate()
-    assert not report.valid
+    carrier[("v1", "v2")] = ("v1",)  # the edge's carrier leaves out that of v2
+    report = Subdivision(s.base, s.total, carrier).validate()
+    assert report.monotone is False
+    assert report.verdict == "invalid(carrier-not-inclusion-preserving)"
 
 
 def test_quasi_geometric_examples():
@@ -602,3 +608,68 @@ def test_bary_local_h_with_no_carrier_is_the_local_h(total):
 def test_restriction_members_ignores_labels_outside_the_base():
     s = stellar_facet(trivial_on(3))
     assert s.restriction_members(("v1", "v2", "nope")) == s.restriction_members(("v1", "v2"))
+
+
+# -- the incidence pass of validate against the restriction-by-restriction oracle
+
+
+WEAK_BALL_FAILURES = {
+    "nonvoid",
+    "dimension",
+    "pure",
+    "pseudomanifold",
+    "betti-ball",
+    "boundary-betti-sphere",
+    "interior-condition",
+}
+
+
+def test_validate_matches_the_oracle_on_sd_sources_and_fixtures(sd_sources):
+    checked = 0
+    for name, s in subdivisions_of(sd_sources):
+        assert s.validate() == oracle_validate(s), name
+        checked += 1
+    for path in sorted(FIXTURES.glob("*.json")):
+        obj = serialize.load_json(str(path))
+        if serialize.detect_kind(obj) == "subdivision":
+            s = serialize.subdivision_from_obj(obj)
+            assert s.validate() == oracle_validate(s), path.stem
+            checked += 1
+    assert checked > 60
+
+
+def test_validate_matches_the_oracle_on_carrier_mutants():
+    seen = {True: set(), False: set()}
+    kinds = Counter()
+    for name, mutant in carrier_mutants(range(60)):
+        report = mutant.validate()
+        assert report == oracle_validate(mutant), name
+        monotone = "monotone" in name
+        assert report.monotone is monotone, name  # every corpus member is monotone
+        # is_monotone's own walk, on a copy whose cache validate has not filled
+        assert Subdivision(mutant.base, mutant.total, mutant.carrier).is_monotone() is monotone
+        kinds[monotone, report.valid] += 1
+        seen[monotone].update(f for c in report.failures() for f in c.failures)
+    assert kinds[True, False] > 100 and kinds[False, False] > 100
+    # each check fails on mutants of both kinds, with monotone carriers too
+    assert seen[True] == seen[False] == WEAK_BALL_FAILURES
+
+
+def test_validate_matches_the_oracle_on_mutants_of_sd_and_the_simplex():
+    sources = [sd_subdivision(random_subdivision(seed, 4, 3)[0]) for seed in range(4)]
+    sources += [trivial_on(n) for n in range(2, 6)] + [bary_of_trivial(n) for n in range(2, 5)]
+    rng = random.Random(5)
+    for i, source in enumerate(sources):
+        for monotone in (True, False):
+            for _ in range(3):
+                mutant = mutate_carrier(source, rng, monotone)
+                if mutant is not None:
+                    assert mutant.validate() == oracle_validate(mutant), (i, monotone)
+
+
+def test_validate_reads_one_incidence_pass_and_is_monotone_does_not():
+    s = random_subdivision(7, 5, 6)[0]
+    assert s.is_monotone() and "inc" not in s._cache
+    first = s.validate()
+    columns = s._cache["inc"][0]
+    assert s.validate() == first and s._cache["inc"][0] is columns
