@@ -7,10 +7,18 @@ Run from the repository root:
 
 Each row is the median CPU time (user plus system of this process) of
 ``RUNS`` runs.  A run builds its input afresh, untimed, so no cache of an
-earlier run is reused, then times one call.  The rows are ``validate()`` on
-the barycentric subdivision sd(Δ) of the simplex on d = 5, 6, 7 vertices and
-on ``realize_local_h`` of the all-ones target (0, 1, ..., 1, 0) for d = 7, 9,
-11.  The result, with the CPU count and the Python version, is stored under
+earlier run is reused, then times one call.  The rows are:
+
+* ``validate()`` on the barycentric subdivision sd(Δ) of the simplex on
+  d = 5, 6, 7 vertices and on ``realize_local_h`` of the all-ones target
+  (0, 1, ..., 1, 0) for d = 7, 9, 11;
+* the construction of ``random_subdivision(k, 5, 6)`` for k = 0..199, and of
+  ``realize_local_h`` of the all-ones target for d = 7, 9, 11 (its own
+  local-h self-check included);
+* the stream ``localh search --seed 0 --count 40 --max-d 6 --steps 6
+  --include-sd``, run in this process with its output discarded.
+
+The result, with the CPU count and the Python version, is stored under
 ``--label`` in the ``--out`` file; runs under other labels already there are
 kept, so one file can hold the rows before and after a change.  Standard
 library only.
@@ -19,6 +27,8 @@ library only.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -29,27 +39,49 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from localh.constructions import realize_local_h, trivial_on  # noqa: E402
+from localh import cli  # noqa: E402
+from localh.constructions import random_subdivision, realize_local_h, trivial_on  # noqa: E402
 from localh.posets import sd_subdivision  # noqa: E402
+from localh.subdivisions import Subdivision  # noqa: E402
 
 RUNS = 3
+SEARCH = "search --seed 0 --count 40 --max-d 6 --steps 6 --include-sd".split()
+
+
+def all_ones(d: int) -> list[int]:
+    return [0] + [1] * (d - 1) + [0]
+
+
+def random_members(seeds) -> list:
+    return [random_subdivision(k, 5, 6) for k in seeds]
+
+
+def search_stream(_) -> None:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(SEARCH)
+    if code != 0:
+        raise RuntimeError(f"localh {' '.join(SEARCH)} exited {code}")
 
 
 def rows():
-    """(row name, function making the subdivision to validate) pairs."""
+    """(row name, untimed function making the input, timed call on it) triples."""
+    validate = Subdivision.validate
     for d in (5, 6, 7):
-        yield f"validate.sd_simplex.d{d}", lambda d=d: sd_subdivision(trivial_on(d))
+        yield f"validate.sd_simplex.d{d}", lambda d=d: sd_subdivision(trivial_on(d)), validate
     for d in (7, 9, 11):
-        target = [0] + [1] * (d - 1) + [0]
-        yield f"validate.realize_all_ones.d{d}", lambda t=target: realize_local_h(t)
+        yield f"validate.realize_all_ones.d{d}", lambda d=d: realize_local_h(all_ones(d)), validate
+    yield "build.random_subdivision.k0-199_d5_steps6", lambda: range(200), random_members
+    for d in (7, 9, 11):
+        yield f"build.realize_all_ones.d{d}", lambda d=d: all_ones(d), realize_local_h
+    yield "search.seed0_count40_d6_steps6_include_sd", lambda: None, search_stream
 
 
-def time_validate(build) -> float:
+def time_row(build, call) -> float:
     times = []
     for _ in range(RUNS):
         subject = build()
         start = time.process_time()
-        subject.validate()
+        call(subject)
         times.append(time.process_time() - start)
     return statistics.median(times)
 
@@ -66,8 +98,8 @@ def main(argv=None) -> None:
         "unit": "s CPU, median",
         "rows": {},
     }
-    for name, build in rows():
-        result["rows"][name] = round(time_validate(build), 4)
+    for name, build, call in rows():
+        result["rows"][name] = round(time_row(build, call), 4)
         print(f"{name}: {result['rows'][name]} s", file=sys.stderr)
     out = pathlib.Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}

@@ -243,6 +243,8 @@ def cmd_search(args) -> int:
         raise ValueError(f"search --max-d: {args.max_d} is below 2, the smallest base")
     if args.steps < 0:
         raise ValueError(f"search --steps: {args.steps} is negative")
+    if args.count < 0:
+        raise ValueError(f"search --count: {args.count} is negative")
     tally: Counter = Counter()
     for seed in range(args.seed, args.seed + args.count):
         for rec in _search_record(seed, args):

@@ -18,6 +18,14 @@ Four operations transform a subdivision of a simplex into another one:
 nonnegative target with zero ends, and re-checks the result against the
 direct definition before returning it.
 
+Each op builds its result from the faces it changes, without closing the
+total complex again: a stellar on T drops T and adds z + sigma for each proper
+face sigma of T, a push adds w + sigma for each face sigma of the ridge, and
+a join's faces are the keys of its carrier map.  Every new face and facet is
+sorted.  The input passed ``Subdivision``'s checks and each new face gets its
+carrier as it is made, so the result goes through ``Subdivision._built``,
+which skips them.
+
 Generated vertices are labelled z<n> (stellar apexes), w<n> (pushed
 vertices), and p<n>/q<n>/m<n> (join endpoints and midpoint) where n is a
 per-subdivision counter recovered by scanning existing labels; base
@@ -29,6 +37,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 from .complexes import Face, SimplicialComplex, canonical_face, simplex, subsets
 from .posets import sd_subdivision
@@ -36,9 +45,9 @@ from .subdivisions import Subdivision
 
 _FRESH_RE = re.compile(r"^[wzmpq](\d+)$")
 
-# Size budget on the base simplex of an op word's seed and of a realize
-# target, checked before any construction, because validating either result
-# visits every subset of the base vertices.
+# Size budget on the base simplex of an op word's seed, of the base its joins
+# grow it to, and of a realize target, checked before any construction,
+# because validating the result visits every subset of the base vertices.
 MAX_BASE_VERTICES = 11
 
 
@@ -98,16 +107,26 @@ def stellar_facet(s: Subdivision, facet=None) -> Subdivision:
     if len(target) < 2:
         raise ValueError("cannot stellarly subdivide a vertex")
     z = f"z{_fresh_index(s.total)}"
-    new_facets = [f for f in s.total.facets if f != target]
-    new_facets += [
-        tuple(sorted(set(target) - {v}) + [z]) for v in target
-    ]
     carrier = dict(s.carrier)
     top_carrier = carrier.pop(target)
-    for sub in subsets(target):
-        if len(sub) < len(target):
-            carrier[tuple(sorted(sub + (z,)))] = top_carrier
-    return Subdivision(s.base, SimplicialComplex(new_facets), carrier)
+    added = [tuple(sorted(sub + (z,))) for sub in subsets(target) if len(sub) < len(target)]
+    carrier.update(zip(added, repeat(top_carrier)))
+    facets = s.total.facets - {target} | set(added[-len(target) :])  # the cones on T's facets
+    return Subdivision._built(s.base, _edited(s.total, facets, added, target), carrier)
+
+
+def _edited(total: SimplicialComplex, facets, added: list[Face], dropped=None) -> SimplicialComplex:
+    """The complex with the given facets whose faces are those of ``total``
+    with ``added`` put in and the face ``dropped`` taken out, level by level;
+    a level that does not change is shared, not copied."""
+    by_dim, new = dict(total.faces_by_dim()), {}
+    for f in added:
+        new.setdefault(len(f) - 1, []).append(f)
+    for k, faces in new.items():
+        by_dim[k] = by_dim[k].union(faces)
+    if dropped:
+        by_dim[len(dropped) - 1] = by_dim[len(dropped) - 1] - {dropped}
+    return SimplicialComplex._generated_by(facets, by_dim)
 
 
 def pushable_ridges(s: Subdivision) -> list[Face]:
@@ -136,17 +155,16 @@ def push_ridge(s: Subdivision, ridge) -> Subdivision:
     old_carrier = s.carrier[g]
     if len(old_carrier) != d - 1:
         raise ValueError(f"carrier of {g} does not have codimension one")
+    if g in s.total.facets:
+        raise ValueError(f"{g} is a facet of the total complex, not a ridge")
     w = f"w{_fresh_index(s.total)}"
-    new_facet = tuple(sorted(g + (w,)))
+    added = [tuple(sorted(sub + (w,))) for sub in subsets(g)]
+    new_facet = added[-1]
     carrier = dict(s.carrier)
-    carrier[g] = v_all
-    carrier[new_facet] = v_all
-    carrier[(w,)] = old_carrier
-    for sub in subsets(g):
-        if 0 < len(sub) < len(g):
-            carrier[tuple(sorted(sub + (w,)))] = old_carrier
-    total = SimplicialComplex(list(s.total.facets) + [new_facet])
-    return Subdivision(s.base, total, carrier)
+    carrier[g] = carrier[new_facet] = v_all
+    carrier.update(zip(added[:-1], repeat(old_carrier)))
+    total = _edited(s.total, s.total.facets | {new_facet}, added)
+    return Subdivision._built(s.base, total, carrier)
 
 
 def join_subdivided_edge(s: Subdivision) -> Subdivision:
@@ -158,15 +176,19 @@ def join_subdivided_edge(s: Subdivision) -> Subdivision:
     new_base = simplex(s.base.vertices + (p, q))
     omega = {(p,): (p,), (q,): (q,), (m,): (p, q), (m, p): (p, q), (m, q): (p, q)}
     carrier: dict[Face, Face] = {}
-    for e in [()] + sorted(s.total.nonempty_faces()):
+    for e in sorted(s.total.all_faces()):
         ce = s.carrier[e] if e else ()
         if e:
             carrier[e] = ce
         for wf, cw in omega.items():
             carrier[tuple(sorted(e + wf))] = tuple(sorted(set(ce) | set(cw)))
-    edge = SimplicialComplex([(m, p), (m, q)])
-    total = s.total.join(edge)
-    return Subdivision(new_base, total, carrier)
+    # the faces of the join are the carrier's keys and the empty face
+    facets = {tuple(sorted(a + b)) for a in s.total.facets for b in ((m, p), (m, q))}
+    by_dim: dict[int, set[Face]] = {}
+    for f in chain(s.total.faces(-1), carrier):
+        by_dim.setdefault(len(f) - 1, set()).add(f)
+    total = SimplicialComplex._generated_by(facets, by_dim)
+    return Subdivision._built(new_base, total, carrier)
 
 
 def push_then_stellar(s: Subdivision, ridge=None) -> Subdivision:

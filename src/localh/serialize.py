@@ -267,12 +267,18 @@ def opword_from_obj(obj: Any) -> OpWord:
         )
     if not isinstance(obj["steps"], list):
         raise SchemaError("opword.steps: expected an array")
-    steps = []
+    steps, vertices = [], obj["seed_vertices"]
     for i, raw in enumerate(obj["steps"]):
         _require_keys(raw, {"op"}, {"face"}, f"opword.steps[{i}]")
         op = raw["op"]
         if op not in {"o1", "o2", "o3", "l32", "sd"}:
             raise SchemaError(f"opword.steps[{i}]: unknown op {op!r}")
+        vertices += 2 if op == "o3" else 0  # a join adds two base vertices
+        if vertices > MAX_BASE_VERTICES:
+            raise SchemaError(
+                f"opword.steps[{i}]: the join grows the base to {vertices} vertices, "
+                f"past the budget of {MAX_BASE_VERTICES} base vertices"
+            )
         face = raw.get("face")
         if face is not None and not isinstance(face, str):
             raise SchemaError(f"opword.steps[{i}].face: expected a string")

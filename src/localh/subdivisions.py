@@ -8,6 +8,15 @@ checks them and does not repair them.  Restrictions, the local
 h-polynomial, the quasi-geometric and vertex-induced predicates, and the
 weak-ball validity check all derive from it.
 
+Two routes build one.  ``Subdivision(base, total, carrier)`` checks the
+carrier map against the total's faces and the base, and copies it; files
+(``serialize``), ``sd_subdivision``, ``restriction`` and every public caller
+take it.  The construction ops edit a subdivision that was already checked,
+adding exactly the faces they make with a carrier each, and
+``Subdivision.trivial`` carries each face to itself; both hand their parts
+to ``Subdivision._built``, which checks and copies nothing.  The tests hold
+the two routes equal on every op.
+
 Internally every carrier query reads one encoding: a base face is a bitmask
 over the sorted base vertices (bit i for the i-th vertex), and each distinct
 carrier is encoded once, however many total faces share it.  "The carrier of
@@ -133,13 +142,29 @@ class Subdivision:
                 raise ValueError(f"face {g} has an empty carrier")
             if f not in base.faces(len(f) - 1):
                 raise ValueError(f"carrier {f} of {g} is not a base face")
+        self._adopt(base, total, dict(carrier), distinct)
+
+    def _adopt(self, base, total, carrier, distinct) -> None:
+        """Take the parts as they are and encode each distinct carrier."""
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "total", total)
-        object.__setattr__(self, "carrier", dict(carrier))
+        object.__setattr__(self, "carrier", carrier)
         bits = {v: 1 << i for i, v in enumerate(base.vertices)}
         object.__setattr__(self, "_bits", bits)
         object.__setattr__(self, "_cache", {"code": {f: self._mask(f) for f in distinct}})
         self._cache["span"] = self._mask({v for f in distinct for v in f})  # OR of the codes
+
+    @classmethod
+    def _built(
+        cls, base: SimplicialComplex, total: SimplicialComplex, carrier: dict[Face, Face]
+    ) -> "Subdivision":
+        """A subdivision whose carrier map its caller built face by face with
+        ``total``: keyed by exactly the nonempty faces of ``total``, each value
+        a nonempty base face, all canonical.  That is trusted, not checked,
+        and ``carrier`` is adopted, not copied."""
+        s = object.__new__(cls)
+        s._adopt(base, total, carrier, set(carrier.values()))
+        return s
 
     def __setattr__(self, name, value):
         raise AttributeError("Subdivision is immutable")
@@ -147,7 +172,7 @@ class Subdivision:
     @classmethod
     def trivial(cls, base: SimplicialComplex) -> "Subdivision":
         """The identity subdivision of a complex."""
-        return cls(base, base, {f: f for f in base.nonempty_faces()})
+        return cls._built(base, base, {f: f for f in base.nonempty_faces()})
 
     @property
     def base_is_simplex(self) -> bool:

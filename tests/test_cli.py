@@ -301,6 +301,42 @@ def test_replay_refuses_seed_vertices_over_the_base_vertex_budget(tmp_path, monk
     )
 
 
+def test_replay_refuses_joins_past_the_base_vertex_budget(tmp_path, monkeypatch, capsys):
+    started = []
+
+    def stub(word):
+        started.append(word)
+        raise ValueError("stub")
+
+    monkeypatch.setattr("localh.constructions.replay", stub)
+    word_file = tmp_path / "word.json"
+    # six joins on 3 vertices would make a base of 15; the fifth makes 13
+    word_file.write_text(json.dumps({"seed_vertices": 3, "steps": [{"op": "o3"}] * 6}))
+    code, out, err = run(capsys, "replay", str(word_file))
+    assert (code, out) == (2, "")
+    assert err == (
+        "input error: opword.steps[4]: the join grows the base to 13 vertices, "
+        f"past the budget of {MAX_BASE_VERTICES} base vertices\n"
+    )
+    assert started == []
+    # four joins make a base of 11 vertices, within budget; other ops add none
+    steps = [{"op": "o1"}, {"op": "o3"}] * 4 + [{"op": "sd"}]
+    word_file.write_text(json.dumps({"seed_vertices": 3, "steps": steps}))
+    code, _, err = run(capsys, "replay", str(word_file))
+    assert len(started) == 1
+    assert err == "input error: stub\n"
+
+
+def test_search_refuses_a_negative_count_before_any_member(monkeypatch, capsys):
+    started = []
+    monkeypatch.setattr(
+        "localh.constructions.random_subdivision", lambda *a: started.append(a)
+    )
+    code, out, err = run(capsys, "search", "--count", "-1")
+    assert (code, out, err) == (2, "", "input error: search --count: -1 is negative\n")
+    assert started == []
+
+
 @pytest.mark.parametrize(
     "option, value, message",
     [

@@ -1,6 +1,8 @@
+from collections import Counter
+
 import pytest
 
-from localh.complexes import SimplicialComplex
+from localh.complexes import SimplicialComplex, subsets
 from localh.constructions import (
     InvalidTargetError,
     OpStep,
@@ -18,6 +20,7 @@ from localh.constructions import (
 )
 from localh.polynomials import Polynomial, geometric_block
 from localh.posets import sd_subdivision
+from localh.subdivisions import Subdivision
 
 
 def test_stellar_examples():
@@ -64,6 +67,12 @@ def test_push_preconditions():
     bad = next(g for g, c in s.carrier.items() if len(g) == 3 and len(c) == 4)
     with pytest.raises(ValueError):
         push_ridge(s, bad)
+    # a ridge that is itself a facet of the total cannot be coned over
+    ridge = ("v1", "v2", "v3")
+    carrier = {g: g for g in subsets(ridge) if g}
+    flat = Subdivision(trivial_on(4).base, SimplicialComplex([ridge]), carrier)
+    with pytest.raises(ValueError, match="is a facet of the total complex"):
+        push_ridge(flat, ridge)
 
 
 def test_join_examples():
@@ -183,3 +192,63 @@ def test_realize_self_check_guard():
     for target in ([0, 3, 3, 0], [0, 1, 2, 2, 1, 0], [0, 0, 1, 0, 0]):
         s = realize_local_h(target)
         assert s.local_h().padded(len(target) - 1) == tuple(target)
+
+
+@pytest.fixture
+def checked_builds(monkeypatch):
+    """Route every ``Subdivision._built`` through the checked constructor too:
+    the total closed from its facets by ``SimplicialComplex`` and the carrier
+    map checked by ``Subdivision.__init__``.  Base, facets, face levels and
+    carrier must agree.  Returns a list that grows by one per build compared."""
+    built, count = Subdivision._built.__func__, []
+
+    def checked(cls, base, total, carrier):
+        s = built(cls, base, total, carrier)
+        oracle = Subdivision(base, SimplicialComplex(s.total.facets), dict(carrier))
+        assert s.base == oracle.base
+        assert s.total.facets == oracle.total.facets
+        assert s.total.faces_by_dim() == oracle.total.faces_by_dim()
+        assert s.carrier == oracle.carrier
+        count.append(1)
+        return s
+
+    monkeypatch.setattr(Subdivision, "_built", classmethod(checked))
+    return count
+
+
+@pytest.mark.parametrize("d_max", [5, 6, 7])
+def test_ops_build_what_the_checked_route_builds_on_random_words(checked_builds, d_max):
+    ops = Counter()
+    for seed in range(200):
+        _, word = random_subdivision(seed, d_max, 6)
+        ops.update(step.op for step in word.steps)
+    assert set(ops) == {"o1", "o3", "l32"}  # l32 builds a push, then a stellar
+    assert len(checked_builds) == 200 + ops["o1"] + ops["o3"] + 2 * ops["l32"]
+
+
+def test_ops_build_what_the_checked_route_builds_on_realizations(checked_builds):
+    for d in range(1, 12):
+        realize_local_h([0] + [1] * (d - 1) + [0])
+    assert len(checked_builds) > 11
+
+
+@pytest.mark.parametrize(
+    "word, builds",
+    [
+        (OpWord(4, (OpStep("l32", "auto"),)), 3),
+        (OpWord(4, (OpStep("o2", "v1,v2,v3"),)), 2),
+        (OpWord(3, (OpStep("o1", "auto"), OpStep("sd"), OpStep("o3"), OpStep("o1", "auto"))), 4),
+    ],
+)
+def test_ops_build_what_the_checked_route_builds_on_op_words(checked_builds, word, builds):
+    replay(word)
+    assert len(checked_builds) == builds  # the seed, then each op but sd
+
+
+def test_stellar_sorts_fresh_apexes_past_nine(checked_builds):
+    s = trivial_on(3)
+    for _ in range(10):
+        s = stellar_facet(s)
+    # "z10" sorts before "z9", so appending the apex would leave this unsorted
+    assert ("v2", "z10", "z9") in s.total.facets
+    assert len(checked_builds) == 11
