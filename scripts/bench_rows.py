@@ -16,7 +16,11 @@ earlier run is reused, then times one call.  The rows are:
   ``realize_local_h`` of the all-ones target for d = 7, 9, 11 (its own
   local-h self-check included);
 * the stream ``localh search --seed 0 --count 40 --max-d 6 --steps 6
-  --include-sd``, run in this process with its output discarded.
+  --include-sd``, run in this process with its output discarded;
+* ``verify_all`` on each ``random_subdivision(k, 5, 6)`` for k = 0..199 and
+  on the barycentric subdivision of each of them for k = 0..19;
+* ``localh identities --json`` on every subdivision fixture, run in this
+  process with its output discarded.
 
 The result, with the CPU count and the Python version, is stored under
 ``--label`` in the ``--out`` file; runs under other labels already there are
@@ -39,12 +43,14 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from localh import cli  # noqa: E402
+from localh import cli, serialize  # noqa: E402
 from localh.constructions import random_subdivision, realize_local_h, trivial_on  # noqa: E402
+from localh.identities import verify_all  # noqa: E402
 from localh.posets import sd_subdivision  # noqa: E402
 from localh.subdivisions import Subdivision  # noqa: E402
 
 RUNS = 3
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 SEARCH = "search --seed 0 --count 40 --max-d 6 --steps 6 --include-sd".split()
 
 
@@ -56,11 +62,30 @@ def random_members(seeds) -> list:
     return [random_subdivision(k, 5, 6) for k in seeds]
 
 
-def search_stream(_) -> None:
+def run_cli(argv, codes=(0,)) -> None:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main(SEARCH)
-    if code != 0:
-        raise RuntimeError(f"localh {' '.join(SEARCH)} exited {code}")
+        code = cli.main(argv)
+    if code not in codes:
+        raise RuntimeError(f"localh {' '.join(argv)} exited {code}")
+
+
+def search_stream(_) -> None:
+    run_cli(SEARCH)
+
+
+def verify_each(subdivisions) -> None:
+    for s in subdivisions:
+        verify_all(s)
+
+
+def subdivision_fixtures() -> list[str]:
+    paths = map(str, sorted(FIXTURES.glob("*.json")))
+    return [p for p in paths if serialize.detect_kind(serialize.load_json(p)) == "subdivision"]
+
+
+def identities_on_fixtures(paths) -> None:
+    for path in paths:
+        run_cli(["identities", path, "--json"], codes=(0, 1))  # 1 on the broken fixtures
 
 
 def rows():
@@ -74,6 +99,17 @@ def rows():
     for d in (7, 9, 11):
         yield f"build.realize_all_ones.d{d}", lambda d=d: all_ones(d), realize_local_h
     yield "search.seed0_count40_d6_steps6_include_sd", lambda: None, search_stream
+    yield (
+        "identities.verify_all.random_subdivision.k0-199_d5_steps6",
+        lambda: [s for s, _ in random_members(range(200))],
+        verify_each,
+    )
+    yield (
+        "identities.verify_all.sd_random_subdivision.k0-19_d5_steps6",
+        lambda: [sd_subdivision(s) for s, _ in random_members(range(20))],
+        verify_each,
+    )
+    yield "identities.cli_json.fixtures", subdivision_fixtures, identities_on_fixtures
 
 
 def time_row(build, call) -> float:

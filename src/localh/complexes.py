@@ -11,6 +11,7 @@ all, while the empty complex consists of the single face ().
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import chain, combinations, repeat
 from typing import Iterable
 
@@ -80,6 +81,20 @@ def _closure(faces: Iterable[Face]) -> tuple[list[Face], dict[int, set[Face]]]:
         level |= new
         table[size - 1] = level
     return kept, table
+
+
+def boundary_ridges(facets) -> list[Face]:
+    """The facets of the boundary: the ridges (faces one vertex short of a
+    facet) that lie in exactly one of the given facets, a collection of
+    distinct canonical faces.  The facets must share one size and no ridge
+    may lie in three or more of them; the least such ridge is named."""
+    if len({len(f) for f in facets}) > 1:
+        raise NotPureError("boundary requires a pure complex")
+    counts = Counter(chain.from_iterable(combinations(f, len(f) - 1) for f in facets))
+    if counts and max(counts.values()) > 2:
+        ridge = min(r for r, n in counts.items() if n > 2)
+        raise RidgeInThreeFacetsError(f"face {ridge} lies in {counts[ridge]} facets")
+    return [r for r, n in counts.items() if n == 1]
 
 
 class SimplicialComplex:
@@ -202,22 +217,12 @@ class SimplicialComplex:
         """Subcomplex generated by codimension-one faces lying in exactly one facet.
 
         Requires purity and that no such face lies in three or more facets
-        (the pseudomanifold-with-boundary check happens here).  The result is
-        void when the complex is closed.
+        (the pseudomanifold-with-boundary check, in ``boundary_ridges``).  The
+        result is void when the complex is closed.
         """
         if self.is_void or self.dim < 0:
             return VOID
-        if not self.is_pure:
-            raise NotPureError("boundary requires a pure complex")
-        d = self.dim + 1
-        counts: dict[Face, int] = {}
-        for facet in self.facets:
-            for ridge in combinations(facet, d - 1):
-                counts[ridge] = counts.get(ridge, 0) + 1
-        for ridge, n in counts.items():
-            if n > 2:
-                raise RidgeInThreeFacetsError(f"face {ridge} lies in {n} facets")
-        rim = [r for r, n in counts.items() if n == 1]
+        rim = boundary_ridges(self.facets)
         if not rim:
             return VOID
         return SimplicialComplex._generated_by(rim)  # distinct, canonical, one size

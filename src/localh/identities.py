@@ -54,22 +54,24 @@ def local_h_via_boundary_recursion(s: Subdivision) -> Polynomial:
     """Local h by recursing on restriction-minus-boundary h differences."""
     if not s.base_is_simplex:
         raise BaseNotSimplexError("recursion requires a simplex base")
-    verts = s.base.vertices
-    memo: dict[Face, Polynomial] = {(): ONE}
+    return _ell(s, s.base.vertices, {(): ONE})
 
-    def ell(face: Face) -> Polynomial:
-        if face in memo:
-            return memo[face]
-        total = _restriction_h_difference(s, face)
-        for sub in subsets(face):
-            # the block is zero for the face itself and its facets
-            block = geometric_block(1, len(face) - len(sub) - 1)
-            if block:
-                total = total + ell(sub) * block
-        memo[face] = total
-        return total
 
-    return ell(verts)
+def _ell(s: Subdivision, face: Face, memo: dict[Face, Polynomial]) -> Polynomial:
+    """The recursion's local h of the restriction to a face, memoized.  A
+    module function, not a closure over s: a closure that calls itself is a
+    reference cycle, which would keep s alive until the cyclic collector runs."""
+    if face in memo:
+        return memo[face]
+    total = _restriction_h_difference(s, face)
+    for sub in subsets(face):
+        # the block is zero for the face itself and its facets, and
+        # ell is zero on every simplex restriction
+        block = geometric_block(1, len(face) - len(sub) - 1)
+        if block and (part := _ell(s, sub, memo)):
+            total = total + part * block
+    memo[face] = total
+    return total
 
 
 def local_h_via_derangements(s: Subdivision) -> Polynomial:

@@ -24,7 +24,10 @@ G lies in F" is then ``not carrier_mask & ~mask(F)``.  The public ``carrier``
 attribute stays the label map; no mask leaves this module.  Faces are counted
 once per (carrier mask, size).  The local h is one signed sum over those
 counts, face by face; the h-polynomial of a restriction to a vertex subset
-sums the counts of the subset's submasks.
+sums the counts of the subset's submasks.  The h-polynomial of a
+restriction's boundary is read off the restriction's own faces, with no
+complex built: a restriction that is a simplex directly, any other through
+the ridges lying in one of its facets, whose closure is counted.
 
 Ball recognition is undecidable in general, so validity here means the
 documented *weak ball check*: every restriction must be pure of the right
@@ -49,7 +52,9 @@ from .complexes import (
     Face,
     NotPureError,
     SimplicialComplex,
+    _closure,
     betti_from_columns,
+    boundary_ridges,
     canonical_face,
     simplex,
     subsets,
@@ -246,10 +251,15 @@ class Subdivision:
             sub = (sub - 1) & mask
         return members
 
+    def _is_total(self, mask: int) -> bool:
+        """Whether the restriction to a mask is the total complex: it holds
+        every carrier, and there is one (a void total has none)."""
+        return bool(self.carrier) and not self._cache["span"] & ~mask
+
     def restriction_complex(self, face) -> SimplicialComplex:
         """The subcomplex lying over a base face: the total complex itself if
         the face holds every carrier, unless there is none (a void total)."""
-        if self.carrier and not self._cache["span"] & ~self._mask(face):
+        if self._is_total(self._mask(face)):
             return self.total
         return SimplicialComplex._generated_by([(), *self.restriction_members(face)])
 
@@ -410,24 +420,65 @@ class Subdivision:
 
     # -- cached per-subset data shared with the identity checkers -------------
 
+    def _base_mask(self, face) -> int:
+        """The mask of a base face; anything else is refused as ``restriction``
+        refuses it.  Distinct known labels whose mask is a base face pass at once."""
+        mask = self._mask(face)
+        if len(face) != mask.bit_count() or mask not in self._base_faces():
+            face = canonical_face(face)
+            if face not in self.base:
+                raise ValueError(f"{face} is not a base face")
+        return mask
+
     def subset_h(self, face) -> Polynomial:
         """h-polynomial of the restriction to a vertex subset (simplex base)."""
         if "ht" not in self._cache:
             self._require_simplex_base()
             self._cache["ht"] = _h_table(self._face_counts(), len(self.base.vertices))
-        return self._cache["ht"][self._mask(face)]
+        return self._cache["ht"][self._base_mask(face)]
 
     def subset_boundary_h(self, face) -> Polynomial:
-        """h-polynomial of the boundary of the restriction to a vertex subset.
+        """h-polynomial of the boundary of the restriction to a base face S,
+        from the restriction's own faces, with no complex built.
 
-        The void boundary (a closed restriction, which a ball never has)
-        contributes zero.
+        A restriction of 2^|S| - 1 faces, one of |S| vertices holding every
+        other, is that simplex: its boundary h is 1 + x + ... + x^(|S|-1).
+        Otherwise its facets (the total's, when S holds every carrier) give
+        the ridges in one facet (``complexes.boundary_ridges``, which refuses
+        an impure restriction or a ridge in three facets), and the boundary
+        they generate is counted.  The void boundary (a closed restriction,
+        which a ball never has) contributes zero.
         """
-        key = ("bh", self._mask(face))
+        mask = self._base_mask(face)
+        key = ("bh", mask)
         if key not in self._cache:
-            b = self.restriction_complex(face).boundary()
-            self._cache[key] = ZERO if b.is_void else b.h_polynomial()
+            n = mask.bit_count()
+            if self._is_total(mask):
+                h = _generated_h(boundary_ridges(self.total.facets))
+            elif _is_simplex(members := self.restriction_members(face), n):
+                h = Polynomial([1] * n)  # the h of a simplex's boundary sphere
+            else:
+                h = _generated_h(boundary_ridges(_closure(members)[0]))
+            self._cache[key] = h
         return self._cache[key]
+
+
+def _is_simplex(faces: list[Face], n: int) -> bool:
+    """Whether distinct nonempty faces are all the nonempty faces of one face
+    of n vertices: 2^n - 1 of them, one of n vertices holding every other."""
+    if len(faces) != (1 << n) - 1:
+        return False
+    top = set(max(faces, key=len, default=()))
+    return len(top) == n and all(map(top.issuperset, faces))
+
+
+def _generated_h(faces: list[Face]) -> Polynomial:
+    """h-polynomial of the complex generated by distinct canonical faces of
+    one size, from its closure's face counts; zero for no face (the void complex)."""
+    if not faces:
+        return ZERO
+    levels = _closure(faces)[1]  # by dimension, from -1 up to that of the faces
+    return h_from_f([len(levels[k]) for k in range(-1, len(faces[0]))])
 
 
 def _weak_ball_failures(n: int, faces: list[int], preimage: list[int], columns) -> tuple[str, ...]:

@@ -98,6 +98,15 @@ def table_local_h(counts, n):
     return sum((h * (-1) ** (n - m.bit_count()) for m, h in table.items()), ZERO)
 
 
+def oracle_boundary_h(s, face) -> Polynomial:
+    """h of the boundary of the restriction to a base face, from the complexes
+    themselves: ``restriction_complex``, its ``boundary()`` and the boundary's
+    ``h_polynomial``, zero when it is void.  The oracle of
+    ``Subdivision.subset_boundary_h``."""
+    rim = s.restriction_complex(face).boundary()
+    return ZERO if rim.is_void else rim.h_polynomial()
+
+
 def oracle_validate(s) -> ValidityReport:
     """The weak-ball check restriction by restriction, each built as its own
     complex: ``restriction_complex``, ``is_pure``, ``boundary()``,

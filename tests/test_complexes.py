@@ -1,4 +1,8 @@
+import os
+import pathlib
 import re
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
@@ -314,6 +318,45 @@ def test_boundary_errors():
     )
     with pytest.raises(RidgeInThreeFacetsError):
         three_sheets.boundary()
+
+
+# Two ridges in three facets each: ab and cd.  The boundary of the complex,
+# and the boundary h of a restriction to it on both routes of
+# ``subset_boundary_h`` (the members, and the total over every carrier),
+# must each name the least one.
+THREE_SHEETS_SCRIPT = """
+from localh.complexes import SimplicialComplex, canonical_face, simplex
+from localh.subdivisions import Subdivision
+facets = ["abc", "abd", "abe", "cdx", "cdy", "cdz"]
+k = SimplicialComplex(facets)
+full = canonical_face("abcdexyz")
+with_q = SimplicialComplex([*facets, "q"])
+carried = {g: ("q",) if g == ("q",) else full for g in with_q.nonempty_faces()}
+calls = [
+    k.boundary,
+    lambda: Subdivision(simplex("abcdexyzq"), with_q, carried).subset_boundary_h(full),
+    lambda: Subdivision(simplex(full), k, dict.fromkeys(k.nonempty_faces(), full))
+    .subset_boundary_h(full),
+]
+for call in calls:
+    try:
+        call()
+    except ValueError as exc:
+        print(exc)
+"""
+
+
+def test_a_ridge_in_three_facets_is_named_least_under_every_hash_seed():
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    outputs = set()
+    for seed in range(6):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+        run = subprocess.run(
+            [sys.executable, "-c", THREE_SHEETS_SCRIPT],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outputs.add(run.stdout)
+    assert outputs == {"face ('a', 'b') lies in 3 facets\n" * 3}
 
 
 def test_betti_examples():

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from localh import identities, posets, subdivisions
@@ -89,6 +91,19 @@ def test_three_way_agreement_on_small_instances():
         assert local_h_via_boundary_recursion(s) == direct
         assert local_h_via_derangements(s) == direct
         assert s.h_via_locality() == s.total.h_polynomial()
+
+
+def test_the_boundary_recursion_leaves_no_reference_cycle():
+    # a cycle through the subdivision would keep it, caches and all, alive
+    # after the call until the cyclic collector ran
+    s = random_subdivision(3, 5, 6)[0]
+    gc.collect()
+    gc.disable()
+    try:
+        assert local_h_via_boundary_recursion(s) == s.local_h()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_verify_all_reports():

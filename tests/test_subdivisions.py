@@ -1,20 +1,31 @@
 import random
 import re
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from conftest import (
+    CORPUS_MAX_D,
+    CORPUS_MAX_STEPS,
     FIXTURES,
     carrier_mutants,
     mutate_carrier,
+    oracle_boundary_h,
     oracle_local_h,
     oracle_validate,
     table_local_h,
 )
 
 from localh import serialize, subdivisions
-from localh.complexes import EMPTY, VOID, SimplicialComplex, simplex, simplex_boundary
+from localh.complexes import (
+    EMPTY,
+    VOID,
+    NotPureError,
+    RidgeInThreeFacetsError,
+    SimplicialComplex,
+    simplex,
+    simplex_boundary,
+)
 from localh.constructions import (
     pushable_ridges,
     push_ridge,
@@ -24,6 +35,7 @@ from localh.constructions import (
     stellar_facet,
     trivial_on,
 )
+from localh.identities import verify_all
 from localh.polynomials import ZERO, Polynomial, h_from_f
 from localh.posets import sd_subdivision
 from localh.subdivisions import BaseNotSimplexError, Subdivision
@@ -425,6 +437,85 @@ def test_subset_h_matches_restriction_complex():
             got = s.subset_h(sub)
             want = s.restriction_complex(sub).h_polynomial()
             assert got == want
+
+
+# -- boundary h of each restriction against the complex-building oracle -----
+
+
+def two_vertex_moves(s):
+    """Every subdivision that differs from s in the carriers of two vertices.
+    A restriction can then hold as many faces as a simplex, one of full size
+    among them, with a face outside it."""
+    bases = sorted(s.base.nonempty_faces())
+    for g, h in combinations(sorted(g for g in s.carrier if len(g) == 1), 2):
+        for c, e in product(bases, bases):
+            if c != s.carrier[g] and e != s.carrier[h]:
+                yield f"{g}->{c},{h}->{e}", Subdivision(s.base, s.total, {**s.carrier, g: c, h: e})
+
+
+def boundary_h_inputs(sd_sources):
+    """(name, subdivision) pairs: the corpus members, every subdivision in
+    ``sd_sources`` and its sd, the carrier mutants of 100 corpus seeds, and
+    the simplex on 3 vertices with two vertex carriers moved."""
+    for seed in range(100):
+        member, _ = random_subdivision(seed, CORPUS_MAX_D, seed % (CORPUS_MAX_STEPS + 1))
+        yield f"corpus{seed}", member
+    yield from subdivisions_of(sd_sources)
+    yield from carrier_mutants(range(100))
+    yield from two_vertex_moves(trivial_on(3))
+
+
+def outcome(query, s, face):
+    """The value of a query, or the type and message of what it raised."""
+    try:
+        return query(s, face)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_subset_boundary_h_matches_the_oracle(sd_sources):
+    kinds = Counter()
+    for name, s in boundary_h_inputs(sd_sources):
+        for face in sorted(s.base.nonempty_faces()):
+            want = outcome(oracle_boundary_h, s, face)
+            assert outcome(Subdivision.subset_boundary_h, s, face) == want, (name, face)
+            k = s.restriction_complex(face)
+            if isinstance(want, tuple):
+                kinds[want[0]] += 1
+            elif k is s.total:
+                kinds["total"] += 1
+            else:
+                kinds["simplex" if [len(g) for g in k.facets] == [len(face)] else "members"] += 1
+    # every branch and both refusals are exercised
+    assert set(kinds) == {"simplex", "total", "members", NotPureError, RidgeInThreeFacetsError}
+
+
+def test_verify_all_reads_the_same_with_the_oracle_boundary_h(monkeypatch, sd_sources):
+    inputs = list(boundary_h_inputs(sd_sources))
+    reports = [verify_all(s).to_json() for _, s in inputs]
+    monkeypatch.setattr(Subdivision, "subset_boundary_h", oracle_boundary_h)
+    for (name, s), report in zip(inputs, reports):
+        assert verify_all(s).to_json() == report, name
+    assert any(not r["all_match"] for r in reports)
+
+
+def test_subset_queries_refuse_a_face_outside_the_base():
+    s = stellar_facet(trivial_on(3))
+    hexagon = Subdivision.trivial(
+        SimplicialComplex([("1", "2"), ("2", "3"), ("3", "4"), ("4", "5"), ("5", "6"), ("1", "6")])
+    )
+    cases = [(s, ("v1", "zz")), (s, ("zz",)), (s, ("zz", "v1")), (hexagon, ("1", "3"))]
+    for t, face in cases:
+        message = re.escape(f"{tuple(sorted(face))} is not a base face")
+        for query in (t.subset_h, t.subset_boundary_h, t.restriction):
+            if query == t.subset_h and t is hexagon:
+                continue  # subset_h needs a simplex base
+            with pytest.raises(ValueError, match=message):
+                query(face)
+    # repeated or unsorted labels of a base face name that face
+    assert s.subset_h(("v2", "v1", "v1")) == s.subset_h(("v1", "v2"))
+    assert s.subset_boundary_h(("v2", "v1", "v1")) == s.subset_boundary_h(("v1", "v2"))
+    assert s.subset_boundary_h(()) == ZERO and s.subset_h(()) == Polynomial([1])
 
 
 # -- label-set oracles for every carrier query ------------------------------
