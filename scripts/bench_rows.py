@@ -15,6 +15,8 @@ earlier run is reused, then times one call.  The rows are:
 * the construction of ``random_subdivision(k, 5, 6)`` for k = 0..199, and of
   ``realize_local_h`` of the all-ones target for d = 7, 9, 11 (its own
   local-h self-check included);
+* the op word loader and ``replay`` on the words of those 200 members, given
+  as JSON objects;
 * the stream ``localh search --seed 0 --count 40 --max-d 6 --steps 6
   --include-sd``, run in this process with its output discarded;
 * ``verify_all`` on each ``random_subdivision(k, 5, 6)`` for k = 0..199 and
@@ -44,7 +46,7 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from localh import cli, serialize  # noqa: E402
-from localh.constructions import random_subdivision, realize_local_h, trivial_on  # noqa: E402
+from localh.constructions import random_subdivision, realize_local_h, replay, trivial_on  # noqa: E402
 from localh.identities import verify_all  # noqa: E402
 from localh.posets import sd_subdivision  # noqa: E402
 from localh.subdivisions import Subdivision  # noqa: E402
@@ -60,6 +62,15 @@ def all_ones(d: int) -> list[int]:
 
 def random_members(seeds) -> list:
     return [random_subdivision(k, 5, 6) for k in seeds]
+
+
+def word_objects(seeds) -> list[dict]:
+    return [serialize.opword_to_obj(word) for _, word in random_members(seeds)]
+
+
+def replay_each(objs) -> None:
+    for obj in objs:
+        replay(serialize.opword_from_obj(obj))
 
 
 def run_cli(argv, codes=(0,)) -> None:
@@ -96,6 +107,7 @@ def rows():
     for d in (7, 9, 11):
         yield f"validate.realize_all_ones.d{d}", lambda d=d: realize_local_h(all_ones(d)), validate
     yield "build.random_subdivision.k0-199_d5_steps6", lambda: range(200), random_members
+    yield "build.replay.k0-199_d5_steps6", lambda: word_objects(range(200)), replay_each
     for d in (7, 9, 11):
         yield f"build.realize_all_ones.d{d}", lambda d=d: all_ones(d), realize_local_h
     yield "search.seed0_count40_d6_steps6_include_sd", lambda: None, search_stream

@@ -268,7 +268,7 @@ def cmd_search(args) -> int:
 
 def cmd_replay(args) -> int:
     word = serialize.opword_from_obj(serialize.load_json(args.file))
-    if any(step.op == "o2" for step in word.steps):
+    if any(constructions.OPS[step.op].warns for step in word.steps):
         print(
             "warning: word contains a push without repair; the result may "
             "not be quasi-geometric",

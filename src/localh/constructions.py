@@ -1,18 +1,21 @@
 """Subdivision-building operations and the prescribed local h realization.
 
-Four operations transform a subdivision of a simplex into another one:
+``OPS`` is the one table of op codes, read by ``apply_step``, the op word
+loader, ``replay``'s warning and ``random_subdivision``; each entry holds the
+op's builder ``(s, face) -> Subdivision`` and its rules:
 
-* ``stellar_facet`` (op code ``o1``) stellarly subdivides a facet of the
-  total complex; the local h-vector gains 1 in every interior position.
-* ``push_ridge`` (op code ``o2``) pushes a codimension-one face with
-  codimension-one carrier into the interior by coning a fresh vertex over
-  it; positions 2..d-2 of the local h-vector each drop by 1.  The result
-  can fail to be quasi-geometric, so the CLI warns when replaying it.
-* ``join_subdivided_edge`` (op code ``o3``) joins with an edge split in two;
-  the local h-vector is shifted one step inward, padded with zeros.
-* ``push_then_stellar`` (op code ``l32``) composes a push with a stellar
-  subdivision of the fresh facet, which repairs quasi-geometricity; the
-  local h-vector gains 1 in positions 1 and d-1.
+* ``o1`` ``stellar_facet`` subdivides a facet of the total complex; the
+  local h-vector gains 1 in every interior position.
+* ``o2`` ``push_ridge`` cones a fresh vertex over a codimension-one face with
+  codimension-one carrier; positions 2..d-2 of the local h-vector each drop
+  by 1.  Its face is required; ``replay`` warns, as the result can fail to
+  be quasi-geometric.
+* ``o3`` ``join_subdivided_edge`` joins with an edge split in two, adding two
+  base vertices; the local h-vector shifts one step inward.
+* ``l32`` ``push_then_stellar`` pushes, then subdivides the fresh facet,
+  which repairs quasi-geometricity; positions 1 and d-1 gain 1.
+* ``sd`` is the barycentric subdivision.  It and ``o3`` take no face; the
+  face of ``o1`` or ``l32`` may be omitted for ``"auto"``, the lex smallest.
 
 ``realize_local_h`` drives these center-outward to hit any symmetric
 nonnegative target with zero ends, and re-checks the result against the
@@ -28,8 +31,8 @@ which skips them.
 
 Generated vertices are labelled z<n> (stellar apexes), w<n> (pushed
 vertices), and p<n>/q<n>/m<n> (join endpoints and midpoint) where n is a
-per-subdivision counter recovered by scanning existing labels; base
-vertices of seed subdivisions are v1..vd.
+per-subdivision counter recovered by scanning the vertices; base vertices of
+seed subdivisions are v1..vd.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ import random
 import re
 from dataclasses import dataclass
 from itertools import chain, repeat
+from typing import Callable
 
 from .complexes import Face, SimplicialComplex, canonical_face, simplex, subsets
 from .posets import sd_subdivision
@@ -81,12 +85,8 @@ def trivial_on(n: int) -> Subdivision:
 
 
 def _fresh_index(total: SimplicialComplex) -> int:
-    best = 0
-    for v in total.vertices:
-        m = _FRESH_RE.match(v)
-        if m:
-            best = max(best, int(m.group(1)))
-    return best + 1
+    found = (_FRESH_RE.match(v) for (v,) in total.faces(0))
+    return 1 + max((int(m.group(1)) for m in found if m), default=0)
 
 
 def _parse_face(face) -> Face | None:
@@ -199,25 +199,35 @@ def push_then_stellar(s: Subdivision, ridge=None) -> Subdivision:
         if not candidates:
             raise ValueError("no ridge with codimension-one carrier exists")
         g = candidates[0]
-    pushed = push_ridge(s, g)
-    (w,) = set(pushed.total.vertices) - set(s.total.vertices)
-    return stellar_facet(pushed, tuple(sorted(g + (w,))))
+    w = f"w{_fresh_index(s.total)}"  # the vertex the push mints
+    return stellar_facet(push_ridge(s, g), tuple(sorted(g + (w,))))
+
+
+@dataclass(frozen=True)
+class Op:
+    """An op code's builder and rules.  ``face`` is ``"auto"`` if a step's
+    face may be omitted (it then reads ``"auto"``), ``"required"`` if it must
+    name a face, and ``"none"`` if the op takes none."""
+
+    build: Callable[[Subdivision, str | None], Subdivision]
+    face: str
+    base_growth: int = 0  # base vertices the op adds
+    warns: bool = False  # the result may not be quasi-geometric
 
 
 OPS = {
-    "o1": stellar_facet,
-    "o2": push_ridge,
-    "o3": lambda s, face=None: join_subdivided_edge(s),
-    "l32": push_then_stellar,
+    "o1": Op(stellar_facet, "auto"),
+    "o2": Op(push_ridge, "required", warns=True),
+    "o3": Op(lambda s, face: join_subdivided_edge(s), "none", base_growth=2),
+    "l32": Op(push_then_stellar, "auto"),
+    "sd": Op(lambda s, face: sd_subdivision(s), "none"),
 }
 
 
 def apply_step(s: Subdivision, step: OpStep) -> Subdivision:
-    if step.op == "sd":
-        return sd_subdivision(s)
     if step.op not in OPS:
         raise ValueError(f"unknown op code {step.op!r}")
-    return OPS[step.op](s, step.face)
+    return OPS[step.op].build(s, step.face)
 
 
 def replay(word: OpWord) -> Subdivision:
@@ -256,19 +266,12 @@ def realize_local_h(target) -> Subdivision:
         for _ in range(target[c]):
             s = stellar_facet(s)
         for k in range(c - 1, 0, -1):
-            g = min(s.total.facets)
-            before_base = set(s.base.vertices)
+            p = f"p{_fresh_index(s.total)}"  # the endpoint the join mints
+            g = tuple(sorted(min(s.total.facets) + (p,)))
             s = join_subdivided_edge(s)
-            (p_label,) = [
-                v for v in set(s.base.vertices) - before_base if v.startswith("p")
-            ]
-            g = tuple(sorted(g + (p_label,)))
             for _ in range(target[k]):
-                before = set(s.total.vertices)
+                w = f"w{_fresh_index(s.total)}"  # the vertex the push mints
                 s = push_then_stellar(s, g)
-                (w,) = [
-                    v for v in set(s.total.vertices) - before if v.startswith("w")
-                ]
                 g = tuple(sorted((set(g) - {max(g)}) | {w}))
         result = s
 
@@ -304,15 +307,8 @@ def random_subdivision(seed: int, d_max: int, steps: int) -> tuple[Subdivision, 
         if ridges:
             ops.append("l32")
         op = rng.choice(ops)
-        if op == "o1":
-            facet = rng.choice(sorted(s.total.facets))
-            s = stellar_facet(s, facet)
-            word.append(OpStep("o1", ",".join(facet)))
-        elif op == "o3":
-            s = join_subdivided_edge(s)
-            word.append(OpStep("o3"))
-        else:
-            g = rng.choice(ridges)
-            s = push_then_stellar(s, g)
-            word.append(OpStep("l32", ",".join(g)))
+        faces = sorted(s.total.facets) if op == "o1" else ridges if op == "l32" else None
+        step = OpStep(op, ",".join(rng.choice(faces)) if faces else None)
+        s = apply_step(s, step)
+        word.append(step)
     return s, OpWord(n0, tuple(word))

@@ -14,7 +14,7 @@ from collections import Counter
 from typing import Any, Iterator
 
 from .complexes import SimplicialComplex, canonical_face
-from .constructions import MAX_BASE_VERTICES, OpStep, OpWord
+from .constructions import MAX_BASE_VERTICES, OPS, OpStep, OpWord
 from .posets import FacePoset
 from .subdivisions import Subdivision
 
@@ -183,7 +183,7 @@ def poset_from_obj(obj: Any) -> FacePoset:
     elements = []
     for i, e in enumerate(obj["elements"]):
         _require_keys(e, {"id", "dim"}, set(), f"poset.elements[{i}]")
-        if not isinstance(e["id"], str) or not isinstance(e["dim"], int):
+        if not isinstance(e["id"], str) or type(e["dim"]) is not int:  # bool is an int
             raise SchemaError(f"poset.elements[{i}]: id must be a string, dim an integer")
         elements.append((e["id"], e["dim"]))
     covers = []
@@ -258,7 +258,7 @@ def opword_to_obj(word: OpWord) -> dict:
 
 def opword_from_obj(obj: Any) -> OpWord:
     _require_keys(obj, {"seed_vertices", "steps"}, set(), "opword")
-    if not isinstance(obj["seed_vertices"], int) or obj["seed_vertices"] < 1:
+    if type(obj["seed_vertices"]) is not int or obj["seed_vertices"] < 1:  # bool is an int
         raise SchemaError("opword.seed_vertices: expected a positive integer")
     if obj["seed_vertices"] > MAX_BASE_VERTICES:
         raise SchemaError(
@@ -270,10 +270,11 @@ def opword_from_obj(obj: Any) -> OpWord:
     steps, vertices = [], obj["seed_vertices"]
     for i, raw in enumerate(obj["steps"]):
         _require_keys(raw, {"op"}, {"face"}, f"opword.steps[{i}]")
-        op = raw["op"]
-        if op not in {"o1", "o2", "o3", "l32", "sd"}:
-            raise SchemaError(f"opword.steps[{i}]: unknown op {op!r}")
-        vertices += 2 if op == "o3" else 0  # a join adds two base vertices
+        code = raw["op"]
+        if not isinstance(code, str) or code not in OPS:
+            raise SchemaError(f"opword.steps[{i}]: unknown op {code!r}")
+        op = OPS[code]
+        vertices += op.base_growth
         if vertices > MAX_BASE_VERTICES:
             raise SchemaError(
                 f"opword.steps[{i}]: the join grows the base to {vertices} vertices, "
@@ -282,9 +283,11 @@ def opword_from_obj(obj: Any) -> OpWord:
         face = raw.get("face")
         if face is not None and not isinstance(face, str):
             raise SchemaError(f"opword.steps[{i}].face: expected a string")
-        if op in {"o1", "o2", "l32"} and face is None:
-            face = "auto"
-        steps.append(OpStep(op, face))
+        if op.face == "none" and face is not None:
+            raise SchemaError(f"opword.steps[{i}].face: op {code!r} takes no face")
+        if op.face == "required" and face in (None, "auto"):
+            raise SchemaError(f"opword.steps[{i}].face: op {code!r} needs an explicit face")
+        steps.append(OpStep(code, "auto" if face is None and op.face == "auto" else face))
     return OpWord(obj["seed_vertices"], tuple(steps))
 
 

@@ -560,6 +560,40 @@ def test_replay_warns_on_bare_push(tmp_path, capsys):
     assert data["local_h"] == [0, 0, -1, 0, 0]
 
 
+@pytest.mark.parametrize(
+    "word, err",
+    [
+        ({"seed_vertices": 3, "steps": [{"op": "o3", "face": "v1"}]},
+         "opword.steps[0].face: op 'o3' takes no face"),
+        ({"seed_vertices": 3, "steps": [{"op": "o1"}, {"op": "sd", "face": "auto"}]},
+         "opword.steps[1].face: op 'sd' takes no face"),
+        ({"seed_vertices": 4, "steps": [{"op": "o2"}]},
+         "opword.steps[0].face: op 'o2' needs an explicit face"),
+        ({"seed_vertices": True, "steps": []},
+         "opword.seed_vertices: expected a positive integer"),
+        ({"seed_vertices": 3, "steps": [{"op": ["o1"]}]},
+         "opword.steps[0]: unknown op ['o1']"),
+    ],
+)
+def test_replay_refuses_words_the_op_rules_forbid(tmp_path, capsys, word, err):
+    word_file = tmp_path / "word.json"
+    word_file.write_text(json.dumps(word))
+    assert run(capsys, "replay", str(word_file)) == (2, "", f"input error: {err}\n")
+
+
+def test_replay_warns_on_the_ops_the_table_marks(tmp_path, capsys, monkeypatch):
+    word_file = tmp_path / "word.json"
+    word_file.write_text(json.dumps({"seed_vertices": 3, "steps": [{"op": "o1"}]}))
+    code, _, err = run(capsys, "replay", str(word_file))
+    assert (code, err) == (0, "")
+    monkeypatch.setitem(
+        constructions.OPS, "o1", constructions.Op(constructions.stellar_facet, "auto", warns=True)
+    )
+    code, _, err = run(capsys, "replay", str(word_file))
+    assert (code, err) == (0, "warning: word contains a push without repair; the result "
+                              "may not be quasi-geometric\n")
+
+
 def test_input_error_exit_code(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     code, _, err = run(capsys, "compute", str(missing))

@@ -9,10 +9,16 @@ from conftest import mutate_json
 from localh import serialize
 from localh.complexes import SimplicialComplex, canonical_face, simplex
 from localh.constructions import (
+    OPS,
+    Op,
     OpStep,
     OpWord,
+    join_subdivided_edge,
+    push_ridge,
     push_then_stellar,
     random_subdivision,
+    replay,
+    stellar_facet,
     trivial_on,
 )
 from localh.posets import face_poset, sd_subdivision
@@ -107,6 +113,84 @@ def test_opword_rejects_unknown_op():
         serialize.opword_from_obj(
             {"seed_vertices": 2, "steps": [{"op": "nope"}]}
         )
+
+
+# Each op code applied by its own builder to the simplex on v1..v4, with the
+# face a step of that code carries in a word; a code added to ``OPS`` needs
+# an entry here.
+DIRECT = {
+    "o1": ("auto", stellar_facet),
+    "o2": ("v1,v2,v3", lambda s: push_ridge(s, ("v1", "v2", "v3"))),
+    "o3": (None, join_subdivided_edge),
+    "l32": ("auto", push_then_stellar),
+    "sd": (None, sd_subdivision),
+}
+
+
+@pytest.mark.parametrize("code", sorted(OPS))
+def test_every_op_code_round_trips_through_the_loader_and_replays(code):
+    face, build = DIRECT[code]
+    word = OpWord(4, (OpStep(code, face),))
+    obj = json.loads(json.dumps(serialize.opword_to_obj(word)))
+    assert serialize.opword_from_obj(obj) == word
+    assert replay(serialize.opword_from_obj(obj)) == build(trivial_on(4))
+    if OPS[code].face == "auto":  # an omitted face loads as "auto"
+        del obj["steps"][0]["face"]
+        assert serialize.opword_from_obj(obj) == word
+
+
+def test_loader_accepts_exactly_the_table_codes(monkeypatch):
+    def load(code):
+        return serialize.opword_from_obj({"seed_vertices": 7, "steps": [{"op": code}]})
+
+    for code in ("o9", "O1", "", "sd ", "e1", ["o1"], 1, None):
+        with pytest.raises(SchemaError, match=r"^opword\.steps\[0\]: unknown op "):
+            load(code)
+    monkeypatch.setitem(OPS, "x1", Op(lambda s, face: s, "none", base_growth=4))
+    monkeypatch.delitem(OPS, "o1")
+    assert load("x1") == OpWord(7, (OpStep("x1"),))
+    with pytest.raises(SchemaError, match=r"^opword\.steps\[0\]: unknown op 'o1'$"):
+        load("o1")
+    with pytest.raises(SchemaError, match=r"^opword\.steps\[1\]: the join grows the base to 15"):
+        serialize.opword_from_obj({"seed_vertices": 7, "steps": [{"op": "x1"}] * 2})
+
+
+@pytest.mark.parametrize(
+    "steps, message",
+    [
+        ([{"op": "o1"}, {"op": "o3", "face": "v1,v2"}], r"steps\[1\]\.face: op 'o3' takes no face"),
+        ([{"op": "sd", "face": "auto"}], r"steps\[0\]\.face: op 'sd' takes no face"),
+        ([{"op": "o2"}], r"steps\[0\]\.face: op 'o2' needs an explicit face"),
+        ([{"op": "o2", "face": "auto"}], r"steps\[0\]\.face: op 'o2' needs an explicit face"),
+    ],
+)
+def test_opword_refuses_a_face_against_the_op_rule(steps, message):
+    with pytest.raises(SchemaError, match="^opword\\." + message + "$"):
+        serialize.opword_from_obj({"seed_vertices": 4, "steps": steps})
+
+
+@pytest.mark.parametrize("seed_vertices", [True, False])
+def test_opword_refuses_a_boolean_seed_size(seed_vertices):
+    with pytest.raises(SchemaError, match=r"^opword\.seed_vertices: expected a positive integer$"):
+        serialize.opword_from_obj({"seed_vertices": seed_vertices, "steps": []})
+
+
+@pytest.mark.parametrize("i, dim", [(1, False), (2, True)])
+def test_poset_refuses_a_boolean_dim(i, dim):
+    elements = [{"id": "a", "dim": 0}, {"id": "b", "dim": 0}, {"id": "e", "dim": 1}]
+    obj = {"elements": elements, "covers": [["a", "e"], ["b", "e"]]}
+    serialize.poset_from_obj(obj)
+    elements[i]["dim"] = dim  # equal to the integer it replaces
+    with pytest.raises(SchemaError, match=rf"^poset\.elements\[{i}\]: id must be a string, dim an integer$"):
+        serialize.poset_from_obj(obj)
+
+
+@pytest.mark.parametrize("d_max", [5, 6, 7])
+def test_random_words_replay_through_the_loader(d_max):
+    for seed in range(200):
+        s, word = random_subdivision(seed, d_max, 6)
+        obj = json.loads(json.dumps(serialize.opword_to_obj(word)))
+        assert replay(serialize.opword_from_obj(obj)) == s
 
 
 def test_fixture_files_load():
