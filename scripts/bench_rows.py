@@ -17,8 +17,10 @@ earlier run is reused, then times one call.  The rows are:
   local-h self-check included);
 * the op word loader and ``replay`` on the words of those 200 members, given
   as JSON objects;
-* the stream ``localh search --seed 0 --count 40 --max-d 6 --steps 6
-  --include-sd``, run in this process with its output discarded;
+* the streams ``localh search --seed 0 --count 40 --max-d 6 --steps 6
+  --include-sd`` and ``localh search --seed 100 --count 60 --max-d 7
+  --steps 8`` (no sd records, more ``l32`` steps at d >= 4), run in this
+  process with their output discarded;
 * ``verify_all`` on each ``random_subdivision(k, 5, 6)`` for k = 0..199 and
   on the barycentric subdivision of each of them for k = 0..19;
 * ``localh identities --json`` on every subdivision fixture, run in this
@@ -54,6 +56,7 @@ from localh.subdivisions import Subdivision  # noqa: E402
 RUNS = 3
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 SEARCH = "search --seed 0 --count 40 --max-d 6 --steps 6 --include-sd".split()
+SEARCH_D7 = "search --seed 100 --count 60 --max-d 7 --steps 8".split()
 
 
 def all_ones(d: int) -> list[int]:
@@ -78,10 +81,6 @@ def run_cli(argv, codes=(0,)) -> None:
         code = cli.main(argv)
     if code not in codes:
         raise RuntimeError(f"localh {' '.join(argv)} exited {code}")
-
-
-def search_stream(_) -> None:
-    run_cli(SEARCH)
 
 
 def verify_each(subdivisions) -> None:
@@ -110,7 +109,8 @@ def rows():
     yield "build.replay.k0-199_d5_steps6", lambda: word_objects(range(200)), replay_each
     for d in (7, 9, 11):
         yield f"build.realize_all_ones.d{d}", lambda d=d: all_ones(d), realize_local_h
-    yield "search.seed0_count40_d6_steps6_include_sd", lambda: None, search_stream
+    yield "search.seed0_count40_d6_steps6_include_sd", lambda: SEARCH, run_cli
+    yield "search.seed100_count60_d7_steps8", lambda: SEARCH_D7, run_cli
     yield (
         "identities.verify_all.random_subdivision.k0-199_d5_steps6",
         lambda: [s for s, _ in random_members(range(200))],

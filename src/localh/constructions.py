@@ -130,11 +130,10 @@ def _edited(total: SimplicialComplex, facets, added: list[Face], dropped=None) -
 
 
 def pushable_ridges(s: Subdivision) -> list[Face]:
-    """Codimension-one faces whose carrier also has codimension one."""
+    """Codimension-one faces whose carrier also has codimension one; on one
+    base vertex that face is the empty face, which has no carrier."""
     d = len(s.base.vertices)
-    return sorted(
-        g for g, c in s.carrier.items() if len(g) == d - 1 and len(c) == d - 1
-    )
+    return sorted(g for g in s.total.faces(d - 2) if g and len(s.carrier[g]) == d - 1)
 
 
 def push_ridge(s: Subdivision, ridge) -> Subdivision:
@@ -231,9 +230,13 @@ def apply_step(s: Subdivision, step: OpStep) -> Subdivision:
 
 
 def replay(word: OpWord) -> Subdivision:
+    """Rebuild an op word; an op that fails on its input is named by its path."""
     s = trivial_on(word.seed_vertices)
-    for step in word.steps:
-        s = apply_step(s, step)
+    for i, step in enumerate(word.steps):
+        try:
+            s = apply_step(s, step)
+        except ValueError as exc:
+            raise ValueError(f"opword.steps[{i}]: {exc}") from None
     return s
 
 

@@ -19,15 +19,17 @@ the two routes equal on every op.
 
 Internally every carrier query reads one encoding: a base face is a bitmask
 over the sorted base vertices (bit i for the i-th vertex), and each distinct
-carrier is encoded once, however many total faces share it.  "The carrier of
-G lies in F" is then ``not carrier_mask & ~mask(F)``.  The public ``carrier``
-attribute stays the label map; no mask leaves this module.  Faces are counted
-once per (carrier mask, size).  The local h is one signed sum over those
-counts, face by face; the h-polynomial of a restriction to a vertex subset
-sums the counts of the subset's submasks.  The h-polynomial of a
-restriction's boundary is read off the restriction's own faces, with no
-complex built: a restriction that is a simplex directly, any other through
-the ridges lying in one of its facets, whose closure is counted.
+carrier is encoded once, however many total faces share it, by the first
+query that needs the codes; a subdivision that is only built on encodes
+none.  "The carrier of G lies in F" is then ``not carrier_mask & ~mask(F)``.
+The public ``carrier`` attribute stays the label map; no mask leaves this
+module.  Faces are counted once per (carrier mask, size).  The local h is
+one signed sum over those counts, face by face; the h-polynomial of a
+restriction to a vertex subset sums the counts of the subset's submasks.
+The h-polynomial of a restriction's boundary is read off the restriction's
+own faces, with no complex built: a restriction that is a simplex directly,
+any other through the ridges lying in one of its facets, whose closure is
+counted.
 
 Ball recognition is undecidable in general, so validity here means the
 documented *weak ball check*: every restriction must be pure of the right
@@ -141,23 +143,20 @@ class Subdivision:
             g, f = next((g, f) for g, f in carrier.items() if not isinstance(f, tuple))
             raise ValueError(f"carrier {f} of {g} is not a base face")
         # each distinct carrier is checked once, naming a face that has it
-        distinct = dict(zip(carrier.values(), carrier))
-        for f, g in distinct.items():
+        for f, g in dict(zip(carrier.values(), carrier)).items():
             if not f:
                 raise ValueError(f"face {g} has an empty carrier")
             if f not in base.faces(len(f) - 1):
                 raise ValueError(f"carrier {f} of {g} is not a base face")
-        self._adopt(base, total, dict(carrier), distinct)
+        self._adopt(base, total, dict(carrier))
 
-    def _adopt(self, base, total, carrier, distinct) -> None:
-        """Take the parts as they are and encode each distinct carrier."""
+    def _adopt(self, base, total, carrier) -> None:
+        """Take the parts as they are; nothing is encoded until a query asks."""
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "total", total)
         object.__setattr__(self, "carrier", carrier)
-        bits = {v: 1 << i for i, v in enumerate(base.vertices)}
-        object.__setattr__(self, "_bits", bits)
-        object.__setattr__(self, "_cache", {"code": {f: self._mask(f) for f in distinct}})
-        self._cache["span"] = self._mask({v for f in distinct for v in f})  # OR of the codes
+        object.__setattr__(self, "_bits", {v: 1 << i for i, v in enumerate(base.vertices)})
+        object.__setattr__(self, "_cache", {})
 
     @classmethod
     def _built(
@@ -168,7 +167,7 @@ class Subdivision:
         a nonempty base face, all canonical.  That is trusted, not checked,
         and ``carrier`` is adopted, not copied."""
         s = object.__new__(cls)
-        s._adopt(base, total, carrier, set(carrier.values()))
+        s._adopt(base, total, carrier)
         return s
 
     def __setattr__(self, name, value):
@@ -207,10 +206,13 @@ class Subdivision:
         return mask
 
     def _carrier_masks(self) -> dict[Face, int]:
-        """Carrier bitmask of every nonempty total face, in carrier order."""
+        """Carrier bitmask of every nonempty total face, in carrier order; each
+        distinct carrier is encoded once, and ``span`` is the OR of the codes."""
         if "cm" not in self._cache:
-            code = self._cache["code"].__getitem__  # the mask of each distinct carrier
-            self._cache["cm"] = dict(zip(self.carrier, map(code, self.carrier.values())))
+            code = {f: self._mask(f) for f in set(self.carrier.values())}
+            masks = map(code.__getitem__, self.carrier.values())
+            self._cache["cm"] = dict(zip(self.carrier, masks))
+            self._cache["span"] = self._mask({v for f in code for v in f})
         return self._cache["cm"]
 
     def _carrier_unions(self) -> list[dict[Face, int]]:
@@ -254,7 +256,7 @@ class Subdivision:
     def _is_total(self, mask: int) -> bool:
         """Whether the restriction to a mask is the total complex: it holds
         every carrier, and there is one (a void total has none)."""
-        return bool(self.carrier) and not self._cache["span"] & ~mask
+        return bool(self._carrier_masks()) and not self._cache["span"] & ~mask
 
     def restriction_complex(self, face) -> SimplicialComplex:
         """The subcomplex lying over a base face: the total complex itself if
@@ -320,15 +322,9 @@ class Subdivision:
         return self._cache["inc"]
 
     def is_monotone(self) -> bool:
-        """No face's carrier leaves that of a face one dimension up holding it."""
-        if "mono" not in self._cache:
-            cm = self._carrier_masks()
-            self._cache["mono"] = all(
-                not cm[g[:i] + g[i + 1 :]] & ~c
-                for g, c in cm.items()
-                if len(g) > 1
-                for i in range(len(g))
-            )
+        """No face's carrier leaves that of a face one dimension up holding it:
+        the verdict of the one incidence pass."""
+        self._incidence()
         return self._cache["mono"]
 
     # -- predicates ----------------------------------------------------------

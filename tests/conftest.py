@@ -143,13 +143,19 @@ def oracle_validate(s) -> ValidityReport:
             if k.nonempty_faces() - boundary.nonempty_faces() != preimage:
                 failures.append("interior-condition")
         checks.append(FaceCheck(face, tuple(failures)))
-    monotone = all(
+    return ValidityReport(tuple(checks), oracle_monotone(s))
+
+
+def oracle_monotone(s) -> bool:
+    """Every face's carrier holds the carrier of each face one dimension
+    down, walked face by face over the label map.  The oracle of
+    ``Subdivision.is_monotone``."""
+    return all(
         set(s.carrier[g[:i] + g[i + 1 :]]) <= set(f)
         for g, f in s.carrier.items()
         if len(g) > 1
         for i in range(len(g))
     )
-    return ValidityReport(tuple(checks), monotone)
 
 
 def mutate_carrier(s, rng, monotone: bool):

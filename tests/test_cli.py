@@ -8,7 +8,7 @@ import sys
 from collections import Counter
 
 import pytest
-from conftest import carrier_mutants, mutate_json
+from conftest import carrier_mutants, mutate_json, oracle_monotone
 
 from localh import cli, constructions, posets, serialize
 from localh.cli import build_parser, main
@@ -581,6 +581,33 @@ def test_replay_refuses_words_the_op_rules_forbid(tmp_path, capsys, word, err):
     assert run(capsys, "replay", str(word_file)) == (2, "", f"input error: {err}\n")
 
 
+PUSH_WARNING = (
+    "warning: word contains a push without repair; the result may not be quasi-geometric\n"
+)
+
+
+@pytest.mark.parametrize(
+    "word, err",
+    [
+        ({"seed_vertices": 4,
+          "steps": [{"op": "o2", "face": "v1,v2,v3"}, {"op": "o2", "face": "v1,v2,v3"}]},
+         PUSH_WARNING + "input error: opword.steps[1]: "
+         "carrier of ('v1', 'v2', 'v3') does not have codimension one\n"),
+        ({"seed_vertices": 3, "steps": [{"op": "l32"}]},
+         "input error: opword.steps[0]: push requires a base simplex on at least 4 vertices\n"),
+        ({"seed_vertices": 3, "steps": [{"op": "o1", "face": "v1,v2"}]},
+         "input error: opword.steps[0]: ('v1', 'v2') is not a facet of the total complex\n"),
+        ({"seed_vertices": 1, "steps": [{"op": "l32"}]},
+         "input error: opword.steps[0]: no ridge with codimension-one carrier exists\n"),
+    ],
+    ids=["second-push", "small-push", "not-a-facet", "no-ridge"],
+)
+def test_replay_names_the_step_whose_op_fails(tmp_path, capsys, word, err):
+    word_file = tmp_path / "word.json"
+    word_file.write_text(json.dumps(word))
+    assert run(capsys, "replay", str(word_file)) == (2, "", err)
+
+
 def test_replay_warns_on_the_ops_the_table_marks(tmp_path, capsys, monkeypatch):
     word_file = tmp_path / "word.json"
     word_file.write_text(json.dumps({"seed_vertices": 3, "steps": [{"op": "o1"}]}))
@@ -641,22 +668,16 @@ def _stellar_with_carriers(changes):
     return Subdivision(s.base, s.total, {**s.carrier, **changes})
 
 
-# broken_stellar_triangle and the moved edge are not monotone, so their sd
-# fields come from the built sd; the hand-made maps fail the record built
-# without that fallback, or without the carrier-size condition
+# inputs with monotone carriers, the precondition of the sd fields read off
+# counts; the hand-made map fails the record built without the carrier-size
+# condition
 SD_RECORD_INPUTS = {
     **{
         name: serialize.subdivision_from_obj(serialize.load_json(str(FIXTURES / f"{name}.json")))
-        for name in (
-            "broken_stellar_triangle", "stellar_triangle", "double_push",
-            "nonunimodal_quasigeometric",
-        )
+        for name in ("stellar_triangle", "double_push", "nonunimodal_quasigeometric")
     },
-    # the edge v1z1 is carried by a vertex, yet every chain of sd carries
-    # its vertex carriers into a base face big enough for it
-    "edge_moved_off_its_carrier": _stellar_with_carriers({("v1", "z1"): ("v2",)}),
-    # monotone, but z1 and v1z1 are carried by v1, so the chain v1 < v1z1
-    # of sd has both vertex carriers inside a smaller base face
+    # z1 and v1z1 are carried by v1, so the chain v1 < v1z1 of sd has both
+    # vertex carriers inside a smaller base face
     "interior_vertex_collapsed": _stellar_with_carriers({
         ("z1",): ("v1",), ("v1", "z1"): ("v1",),
         ("v2", "z1"): ("v1", "v2"), ("v3", "z1"): ("v1", "v3"),
@@ -667,6 +688,7 @@ SD_RECORD_INPUTS = {
 @pytest.mark.parametrize("name", SD_RECORD_INPUTS)
 def test_sd_search_fields_from_chain_counts_match_the_built_sd(name):
     s = SD_RECORD_INPUTS[name]
+    assert oracle_monotone(s)
     built = posets.sd_subdivision(s)
     chain, want = cli._invariants(s, sd=True), cli._invariants(built)
     assert chain[:3] == want[:3]
@@ -675,6 +697,30 @@ def test_sd_search_fields_from_chain_counts_match_the_built_sd(name):
     if want[0].is_symmetric(d):  # else gamma, and so the record, is undefined
         word = constructions.OpWord(d, ())
         assert cli._record(0, word, d, *chain) == cli._record(0, word, d, *want)
+
+
+def test_sd_record_reads_counts_that_need_monotone_carriers():
+    # the edge v1z1 is carried by a vertex: the count route calls sd not
+    # quasi-geometric, yet every chain of the built sd carries its vertex
+    # carriers into a base face big enough for it
+    s = _stellar_with_carriers({("v1", "z1"): ("v2",)})
+    assert not oracle_monotone(s)
+    assert cli._invariants(s, sd=True)[1] is False
+    assert posets.sd_subdivision(s).is_quasi_geometric().holds
+
+
+def test_search_with_sd_records_computes_no_monotonicity(capsys, monkeypatch):
+    argv = ("search", "--seed", "0", "--count", "20", "--max-d", "6", "--steps", "6",
+            "--include-sd")
+    want = run(capsys, *argv)
+    assert want[0] == 0
+
+    def refuse(self):
+        raise AssertionError("monotonicity was computed")
+
+    monkeypatch.setattr(Subdivision, "is_monotone", refuse)
+    monkeypatch.setattr(Subdivision, "_incidence", refuse)
+    assert run(capsys, *argv) == want
 
 
 def test_sd_search_fields_are_read_off_the_member_when_carriers_are_monotone(monkeypatch):

@@ -1,6 +1,7 @@
 from collections import Counter
 
 import pytest
+from conftest import oracle_monotone
 
 from localh.complexes import SimplicialComplex, subsets
 from localh.constructions import (
@@ -112,6 +113,38 @@ def test_push_then_stellar_auto_picks_valid_ridge():
     assert ridges
     result = push_then_stellar(s)
     assert result.validate().valid
+
+
+def all_carrier_ridges(s):
+    """Codimension-one faces with codimension-one carriers, filtered from
+    every carrier: the oracle of ``pushable_ridges``."""
+    d = len(s.base.vertices)
+    return sorted(g for g, c in s.carrier.items() if len(g) == d - 1 and len(c) == d - 1)
+
+
+@pytest.mark.parametrize("d_max", [5, 6, 7])
+def test_search_members_have_monotone_carriers(d_max):
+    # o1, o3 and l32 keep carriers monotone; search's sd records rely on it
+    for seed in range(200):
+        s, _ = random_subdivision(seed, d_max, 6)
+        assert oracle_monotone(s), seed
+
+
+@pytest.mark.parametrize("d_max", [5, 6, 7])
+def test_pushable_ridges_equals_the_all_carrier_filter_on_every_step(d_max):
+    for seed in range(200):
+        word = random_subdivision(seed, d_max, 6)[1]
+        s = trivial_on(word.seed_vertices)
+        for step in word.steps:
+            assert pushable_ridges(s) == all_carrier_ridges(s), (seed, step)
+            s = apply_step(s, step)
+
+
+def test_pushable_ridges_on_small_simplices():
+    # on one vertex the only face of codimension one is the empty face
+    for n in range(1, 5):
+        s = trivial_on(n)
+        assert pushable_ridges(s) == all_carrier_ridges(s)
 
 
 def test_realize_examples():

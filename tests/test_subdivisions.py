@@ -27,6 +27,7 @@ from localh.complexes import (
     simplex_boundary,
 )
 from localh.constructions import (
+    join_subdivided_edge,
     pushable_ridges,
     push_ridge,
     push_then_stellar,
@@ -737,7 +738,7 @@ def test_validate_matches_the_oracle_on_carrier_mutants():
         assert report == oracle_validate(mutant), name
         monotone = "monotone" in name
         assert report.monotone is monotone, name  # every corpus member is monotone
-        # is_monotone's own walk, on a copy whose cache validate has not filled
+        # is_monotone on a copy whose incidence pass validate has not run
         assert Subdivision(mutant.base, mutant.total, mutant.carrier).is_monotone() is monotone
         kinds[monotone, report.valid] += 1
         seen[monotone].update(f for c in report.failures() for f in c.failures)
@@ -758,9 +759,20 @@ def test_validate_matches_the_oracle_on_mutants_of_sd_and_the_simplex():
                     assert mutant.validate() == oracle_validate(mutant), (i, monotone)
 
 
-def test_validate_reads_one_incidence_pass_and_is_monotone_does_not():
+def test_is_monotone_reads_the_one_incidence_pass():
     s = random_subdivision(7, 5, 6)[0]
-    assert s.is_monotone() and "inc" not in s._cache
-    first = s.validate()
+    assert s.is_monotone()
     columns = s._cache["inc"][0]
+    first = s.validate()
+    assert first.monotone == s.is_monotone()
     assert s.validate() == first and s._cache["inc"][0] is columns
+
+
+def test_op_results_encode_no_carrier_until_queried():
+    s = random_subdivision(0, 5, 6)[0]
+    assert len(s.base.vertices) >= 4 and pushable_ridges(s)
+    for op in (stellar_facet, join_subdivided_edge, push_then_stellar):
+        assert op(s)._cache == {}
+    assert s._cache == {}
+    assert s.restriction_complex(s.base.vertices) is s.total  # reads the span
+    assert set(s._cache) == {"cm", "span"}
