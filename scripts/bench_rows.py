@@ -24,7 +24,14 @@ earlier run is reused, then times one call.  The rows are:
 * ``verify_all`` on each ``random_subdivision(k, 5, 6)`` for k = 0..199 and
   on the barycentric subdivision of each of them for k = 0..19;
 * ``localh identities --json`` on every subdivision fixture, run in this
-  process with its output discarded.
+  process with its output discarded;
+* ``load_json`` plus ``subdivision_from_obj`` on the file of sd(Δ) for d = 7
+  (94,585 faces), written once, untimed, to a temporary directory.
+
+A second section, ``peak_mb``, holds memory rows: the ``tracemalloc`` peak of
+one call above what was allocated before it, in MB, median of ``RUNS`` runs,
+each on an input built afresh and untraced.  It has the load of sd(Δ_7)'s
+file and ``validate()`` on sd(Δ_7).
 
 The result, with the CPU count and the Python version, is stored under
 ``--label`` in the ``--out`` file; runs under other labels already there are
@@ -36,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import os
@@ -43,7 +51,9 @@ import pathlib
 import platform
 import statistics
 import sys
+import tempfile
 import time
+import tracemalloc
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
@@ -98,8 +108,21 @@ def identities_on_fixtures(paths) -> None:
         run_cli(["identities", path, "--json"], codes=(0, 1))  # 1 on the broken fixtures
 
 
-def rows():
-    """(row name, untimed function making the input, timed call on it) triples."""
+@functools.cache
+def sd_simplex_file(directory: str, d: int) -> str:
+    """The path of sd(Δ) of the simplex on ``d`` vertices, written once."""
+    path = os.path.join(directory, f"sd_simplex_d{d}.json")
+    serialize.dump_json(serialize.subdivision_to_obj(sd_subdivision(trivial_on(d))), path)
+    return path
+
+
+def load_subdivision(path: str) -> Subdivision:
+    return serialize.subdivision_from_obj(serialize.load_json(path))
+
+
+def rows(tmp: str):
+    """(row name, untimed function making the input, timed call on it) triples;
+    input files go to the directory ``tmp``."""
     validate = Subdivision.validate
     for d in (5, 6, 7):
         yield f"validate.sd_simplex.d{d}", lambda d=d: sd_subdivision(trivial_on(d)), validate
@@ -122,6 +145,13 @@ def rows():
         verify_each,
     )
     yield "identities.cli_json.fixtures", subdivision_fixtures, identities_on_fixtures
+    yield "load.sd_simplex.d7", lambda: sd_simplex_file(tmp, 7), load_subdivision
+
+
+def peak_rows(tmp: str):
+    """(row name, untraced function making the input, traced call on it) triples."""
+    yield "load.sd_simplex.d7", lambda: sd_simplex_file(tmp, 7), load_subdivision
+    yield "validate.sd_simplex.d7", lambda: sd_subdivision(trivial_on(7)), Subdivision.validate
 
 
 def time_row(build, call) -> float:
@@ -132,6 +162,18 @@ def time_row(build, call) -> float:
         call(subject)
         times.append(time.process_time() - start)
     return statistics.median(times)
+
+
+def peak_row(build, call) -> float:
+    peaks = []
+    for _ in range(RUNS):
+        subject = build()
+        tracemalloc.start()
+        before = tracemalloc.get_traced_memory()[0]
+        call(subject)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        tracemalloc.stop()
+    return statistics.median(peaks) / 2**20
 
 
 def main(argv=None) -> None:
@@ -145,10 +187,15 @@ def main(argv=None) -> None:
         "runs": RUNS,
         "unit": "s CPU, median",
         "rows": {},
+        "peak_mb": {},
     }
-    for name, build, call in rows():
-        result["rows"][name] = round(time_row(build, call), 4)
-        print(f"{name}: {result['rows'][name]} s", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, build, call in rows(tmp):
+            result["rows"][name] = round(time_row(build, call), 4)
+            print(f"{name}: {result['rows'][name]} s", file=sys.stderr)
+        for name, build, call in peak_rows(tmp):
+            result["peak_mb"][name] = round(peak_row(build, call), 2)
+            print(f"{name}: {result['peak_mb'][name]} MB peak", file=sys.stderr)
     out = pathlib.Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
     doc[args.label] = result

@@ -3,8 +3,8 @@
 Every standalone file carries a top-level ``"format": "localh/1"`` key;
 unknown keys are rejected so typos in hand-written fixtures fail loudly.
 Carrier keys are comma-joined sorted vertex labels, which is why labels may
-not contain commas. Loading checks each distinct label list once, and takes
-a carrier key as it stands when the total's face closure holds it.
+not contain commas. Loading checks each distinct label list once, keys the
+carrier map by the total's own face tuples, and refuses two keys for one face.
 """
 
 from __future__ import annotations
@@ -136,16 +136,24 @@ def subdivision_from_obj(obj: Any) -> Subdivision:
     raw = obj["carrier"]
     if not isinstance(raw, dict):
         raise SchemaError("subdivision.carrier: expected an object")
-    # faces enter the program here; a key in the total's closure is canonical
-    faces = total.nonempty_faces()
+    # faces enter the program here; a key is stored as the total's own tuple
+    faces = {f: f for fs in total.faces_by_dim().values() for f in fs}
     carrier: dict[tuple[str, ...], tuple[str, ...]] = {}
     for key, value in _label_lists(raw, "subdivision.carrier"):
-        face = tuple(key.split(","))
-        carrier[face if face in faces else canonical_face(face)] = value
+        face = faces.get(tuple(key.split(",")))
+        if face is None:  # a reversed or repeated-label key
+            face = canonical_face(key.split(","))
+            face = faces.get(face, face)
+        if face in carrier:
+            raise SchemaError(
+                f"subdivision.carrier[{key}]: names the face {','.join(face)} of an earlier key"
+            )
+        carrier[face] = value
+    del faces  # freed before the constructor copies the carrier map
     try:
         return Subdivision(base, total, carrier)
     except ValueError as exc:
-        missing = faces - carrier.keys()
+        missing = total.nonempty_faces() - carrier.keys()
         if not missing:
             raise SchemaError(f"subdivision: {exc}") from exc
         if carrier and all(len(g) == 1 for g in carrier):

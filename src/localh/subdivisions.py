@@ -130,8 +130,10 @@ class Subdivision:
         all canonical (sorted tuples of distinct labels).  They are checked,
         not repaired; ``serialize`` canonicalizes faces read from a file.
         """
-        needed = total.nonempty_faces()
-        if carrier.keys() != needed:
+        # keys equal the faces when they hold each level and are as many
+        levels = [fs for d, fs in total.faces_by_dim().items() if d >= 0]
+        if len(carrier) != sum(map(len, levels)) or not all(carrier.keys() >= fs for fs in levels):
+            needed = total.nonempty_faces()
             extra = carrier.keys() - needed
             if extra:
                 raise ValueError(f"carrier map has non-faces, e.g. {min(extra)}")

@@ -437,6 +437,16 @@ def test_compute_on_reversed_carrier_labels_matches_golden(tmp_path, capsys, nam
     assert hashlib.sha256(out.encode()).hexdigest() == want_digest
 
 
+def test_compute_refuses_a_carrier_object_naming_one_face_under_two_keys(tmp_path, capsys):
+    obj = serialize.subdivision_to_obj(stellar_facet(trivial_on(3)))
+    obj["carrier"]["v2,v1"] = ["v1", "v2", "v3"]
+    f = tmp_path / "two_keys.json"
+    f.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "compute", str(f))
+    assert (code, out) == (2, "")
+    assert err == "input error: subdivision.carrier[v2,v1]: names the face v1,v2 of an earlier key\n"
+
+
 def test_bary_pipeline_through_files(tmp_path, capsys):
     bary_file = tmp_path / "bary.json"
     code, _, _ = run(

@@ -340,9 +340,15 @@ def _old_subdivision_from_obj(obj):
     for key, value in raw.items():
         if not isinstance(value, list):
             raise SchemaError(f"subdivision.carrier[{key}]: expected an array")
-        carrier[canonical_face(key.split(","))] = canonical_face(
+        value = canonical_face(
             serialize._check_label(v, f"subdivision.carrier[{key}]") for v in value
         )
+        face = canonical_face(key.split(","))
+        if face in carrier:  # two keys for one face are refused at the later one
+            raise SchemaError(
+                f"subdivision.carrier[{key}]: names the face {','.join(face)} of an earlier key"
+            )
+        carrier[face] = value
     try:
         return Subdivision(base, total, carrier)
     except ValueError as exc:
@@ -434,6 +440,27 @@ def test_one_pass_loader_matches_oracle_on_fixtures_and_corpus():
         assert out[:2] == (member.base, member.total) and dict(out[2]) == member.carrier
 
 
+def _assert_keys_are_the_totals_tuples(obj):
+    s = serialize.subdivision_from_obj(json.loads(json.dumps(obj)))
+    own = {f: f for fs in s.total.faces_by_dim().values() for f in fs}
+    assert s.carrier and all(g is own[g] for g in s.carrier)
+    return s
+
+
+def test_loaded_carrier_keys_are_the_totals_own_tuples():
+    for path in SUBDIVISION_FIXTURES:
+        obj = serialize.load_json(str(path))
+        _assert_keys_are_the_totals_tuples(obj)
+        reversed_keys = {",".join(reversed(k.split(","))): v for k, v in obj["carrier"].items()}
+        _assert_keys_are_the_totals_tuples({**obj, "carrier": reversed_keys})
+    for seed in range(20):
+        member, _ = random_subdivision(seed, 5, seed % 7)
+        s = _assert_keys_are_the_totals_tuples(serialize.subdivision_to_obj(member))
+        assert s.carrier == member.carrier and list(s.carrier) == sorted(member.carrier)
+    sd = sd_subdivision(random_subdivision(3, 4, 4)[0])
+    assert _assert_keys_are_the_totals_tuples(serialize.subdivision_to_obj(sd)).carrier == sd.carrier
+
+
 def test_one_pass_loader_matches_oracle_on_mutations():
     rng = random.Random(13)
     outcomes = []
@@ -456,5 +483,6 @@ def test_one_pass_loader_matches_oracle_on_mutations():
         "expected an array",
         "carrier map has non-faces",
         "missing 1 faces",
+        "of an earlier key",
     ):
         assert any(message in e for e in errors), message
